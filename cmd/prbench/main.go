@@ -32,7 +32,10 @@ import (
 	"testing"
 	"time"
 
+	"prpart/internal/basepart"
 	"prpart/internal/benchfmt"
+	"prpart/internal/connmat"
+	"prpart/internal/cover"
 	"prpart/internal/design"
 	"prpart/internal/experiments"
 	"prpart/internal/multilevel"
@@ -363,6 +366,31 @@ func (e *env) microBenchmarks(r *benchfmt.Report) error {
 			if _, err := partition.Solve(d, medianOpts[i%len(medianDesigns)]); err != nil &&
 				err != partition.ErrNoScheme && err != partition.ErrInfeasible {
 				b.Fatal(err)
+			}
+		}
+	}); err != nil {
+		return err
+	}
+	// Candidate-set enumeration alone: the covering loop every cold
+	// solve runs before its search, over the same eight designs (one op
+	// covers all of them; mirrors BenchmarkCoverSets in internal/cover).
+	coverLists := make([][]basepart.BasePartition, len(medianDesigns))
+	coverMats := make([]*connmat.Matrix, len(medianDesigns))
+	for i, d := range medianDesigns {
+		coverMats[i] = connmat.New(d)
+		parts, err := basepart.BasePartitions(coverMats[i])
+		if err != nil {
+			return err
+		}
+		coverLists[i] = cover.Order(parts)
+	}
+	if err := record("cover_sets", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := range coverLists {
+				if len(cover.Sets(coverLists[k], coverMats[k])) == 0 {
+					b.Fatal("no candidate sets")
+				}
 			}
 		}
 	}); err != nil {

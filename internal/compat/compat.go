@@ -61,11 +61,18 @@ func (m Mask) Clone() Mask {
 // ConfigMask returns the mask of configurations that intersect (activate
 // at least one mode of) the given set.
 func ConfigMask(m *connmat.Matrix, set modeset.Set) Mask {
+	refs := set.Refs()
+	cols := make([]int, 0, len(refs))
+	for _, r := range refs {
+		if c := m.Column(r); c >= 0 {
+			cols = append(cols, c)
+		}
+	}
 	n := m.NumConfigs()
 	out := NewMask(n)
 	for ci := 0; ci < n; ci++ {
-		for _, r := range set.Refs() {
-			if m.Contains(ci, r) {
+		for _, c := range cols {
+			if m.At(ci, c) {
 				out.Set(ci)
 				break
 			}

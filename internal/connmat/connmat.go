@@ -3,7 +3,7 @@
 // where the mode is active in the configuration. The matrix yields the
 // node weights (how often each mode occurs) and edge weights (how often
 // two modes co-occur) that drive the clustering, and is also the structure
-// the covering algorithm progressively zeroes.
+// the covering algorithm compiles into bitsets and covers.
 package connmat
 
 import (
@@ -153,39 +153,6 @@ func (m *Matrix) MinEdgeWeight(set []design.ModeRef) int {
 		return 0
 	}
 	return minW
-}
-
-// Clone returns an independent copy of the matrix that can be zeroed by
-// the covering algorithm without disturbing the original.
-func (m *Matrix) Clone() *Matrix {
-	cells := make([][]bool, len(m.cells))
-	for i, row := range m.cells {
-		cells[i] = append([]bool(nil), row...)
-	}
-	return &Matrix{d: m.d, modes: m.modes, col: m.col, cells: cells}
-}
-
-// Clear zeroes the cell (config i, mode r). It reports whether the cell
-// was previously set — i.e. whether this clearing covered new ground.
-func (m *Matrix) Clear(i int, r design.ModeRef) bool {
-	c, ok := m.col[r]
-	if !ok || !m.cells[i][c] {
-		return false
-	}
-	m.cells[i][c] = false
-	return true
-}
-
-// AllZero reports whether every cell has been cleared.
-func (m *Matrix) AllZero() bool {
-	for i := range m.cells {
-		for _, set := range m.cells[i] {
-			if set {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the matrix like the paper's display: a header of mode

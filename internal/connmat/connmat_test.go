@@ -142,35 +142,6 @@ func TestUnusedModeColumn(t *testing.T) {
 	}
 }
 
-func TestCloneClearAllZero(t *testing.T) {
-	orig := New(design.PaperExample())
-	m := orig.Clone()
-	if m.AllZero() {
-		t.Fatal("fresh matrix should not be all-zero")
-	}
-	if !m.Clear(4, ref(0, 2)) { // A2 in config 5
-		t.Fatal("Clear(conf5, A2) should report newly covered")
-	}
-	if m.Clear(4, ref(0, 2)) {
-		t.Fatal("second Clear of same cell should report false")
-	}
-	if m.Clear(0, ref(0, 2)) { // A2 not in config 1
-		t.Fatal("clearing an unset cell should report false")
-	}
-	if !orig.At(4, orig.Column(ref(0, 2))) {
-		t.Fatal("Clear leaked into the original matrix")
-	}
-	// Clear everything; AllZero must flip.
-	for i := 0; i < m.NumConfigs(); i++ {
-		for _, r := range m.Modes() {
-			m.Clear(i, r)
-		}
-	}
-	if !m.AllZero() {
-		t.Fatal("matrix should be all-zero after clearing everything")
-	}
-}
-
 func TestString(t *testing.T) {
 	s := New(design.PaperExample()).String()
 	if !strings.Contains(s, "A.1") || !strings.Contains(s, "Conf.5") {

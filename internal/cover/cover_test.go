@@ -2,6 +2,7 @@ package cover
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"prpart/internal/basepart"
@@ -179,13 +180,12 @@ func TestSetsEnumeration(t *testing.T) {
 		}
 	}
 	// Deduplication: no two candidate sets with identical part lists.
-	seen := map[string]bool{}
-	for _, cs := range sets {
-		k := setKey(cs)
-		if seen[k] {
-			t.Error("duplicate candidate set emitted")
+	for i := range sets {
+		for j := i + 1; j < len(sets); j++ {
+			if reflect.DeepEqual(sets[i].Parts, sets[j].Parts) {
+				t.Errorf("sets %d and %d have identical part lists", i, j)
+			}
 		}
-		seen[k] = true
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 // initial grouping (typically the projection of a coarser level's
 // solution), and the engine runs its greedy descent machinery — the
 // delta cache, quantisation memo and running aggregates of delta.go —
-// from that state. The searcher runs with useMasks enabled, so move
-// legality stays cheap even when a level carries thousands of parts.
+// from that state. Move legality is a group-mask intersection, as on the
+// solve path, so it stays cheap even when a level carries thousands of
+// parts.
 
 // WarmStart describes a refinement problem: candidate parts with their
 // per-configuration activations, plus an initial assignment of every
@@ -146,7 +147,6 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	m := connmat.New(d)
 	cs := &cover.CandidateSet{Parts: ws.Parts, Active: ws.Active}
 	s := newSearcher(d, m, cs, opts, newScratch())
-	s.useMasks = true
 	// Shard large scan iterations over Options.Workers (refine is the
 	// only caller of the per-iteration parallel scan; the shard
 	// decomposition is Workers-independent, so any worker count —

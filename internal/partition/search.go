@@ -266,6 +266,7 @@ func solveSearch(ctx context.Context, d *design.Design, opts Options, useReferen
 	runSet := func(i int, sc *scratch) {
 		s := newSearcher(d, m, sets[i], opts, sc)
 		if useReference {
+			s.useMasks = false
 			snaps[i], counts[i] = s.referenceRun()
 		} else {
 			snaps[i], counts[i] = s.run()
@@ -364,11 +365,10 @@ type group struct {
 	sumSq   int64           // Σ over parts of (activation count)²
 	act     []int32         // per config: active part + 1 (weighted mode only)
 	contrib int64           // frames × (weighted) differing-pair mass
-	// mask is the union of the parts' configuration masks — present only
-	// when the searcher runs with useMasks (the multilevel refine path),
-	// where it makes group-pair compatibility O(configs/64) instead of
-	// O(|ga|·|gb|). Nil on the standard path, which keeps the original
-	// pairwise probe and its exact allocation profile.
+	// mask is the union of the parts' configuration masks, which makes
+	// group-pair compatibility O(configs/64) instead of O(|ga|·|gb|).
+	// Nil only when the searcher runs without useMasks (the reference
+	// engine), which keeps the original pairwise probe.
 	mask compat.Mask
 }
 
@@ -400,11 +400,10 @@ type searcher struct {
 	sc *scratch
 
 	// useMasks switches group construction and move legality onto
-	// group-level configuration masks (see group.mask). Only the Refine
-	// warm-start path sets it: at multilevel scale a region holds
-	// thousands of parts and the pairwise GroupCompatible probe is the
-	// bottleneck, while the standard path must keep its byte- and
-	// allocation-identical behaviour.
+	// group-level configuration masks (see group.mask). Both the solve
+	// and the Refine paths set it; only the reference engine clears it,
+	// so the differential suite keeps proving mask legality against the
+	// pairwise GroupCompatible definition.
 	useMasks bool
 
 	// par, when non-nil, shards large scan iterations across a worker
@@ -444,7 +443,7 @@ func checkWeights(w [][]float64, n int) error {
 }
 
 func newSearcher(d *design.Design, m *connmat.Matrix, cs *cover.CandidateSet, opts Options, sc *scratch) *searcher {
-	s := &searcher{d: d, cs: cs, opts: opts, sc: sc}
+	s := &searcher{d: d, cs: cs, opts: opts, sc: sc, useMasks: true}
 	// Caches are reset per candidate set so cache-counter values are a
 	// pure function of the input, independent of how sets are spread
 	// over workers (the serial-vs-parallel obs-identity contract).

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"prpart/internal/compat"
-	"prpart/internal/cost"
 	"prpart/internal/device"
 	"prpart/internal/resource"
 	"prpart/internal/scheme"
@@ -119,10 +118,10 @@ func (s *searcher) newGroup(parts ...int) *group {
 	return g
 }
 
-// groupsCompatible reports whether two groups may merge. With masks
-// (the Refine path) the probe is a single mask intersection — a group's
-// mask is the union of its parts' masks, so disjoint masks ⇔ every
-// cross pair compatible; otherwise it is the original pairwise walk.
+// groupsCompatible reports whether two groups may merge. With masks the
+// probe is a single mask intersection — a group's mask is the union of
+// its parts' masks, so disjoint masks ⇔ every cross pair compatible;
+// without them (the reference engine) it is the original pairwise walk.
 func (s *searcher) groupsCompatible(ga, gb *group) bool {
 	if ga.mask != nil && gb.mask != nil {
 		return !ga.mask.Intersects(gb.mask)
@@ -690,16 +689,4 @@ func (s *searcher) scanMoves(cur *state, allowStatic, allowTransfers bool) (move
 		return move{}, nil, false
 	}
 	return moves[bestIdx], s.sc, true
-}
-
-// evaluate is a debugging helper: it materialises and evaluates a state
-// without registering it.
-func (s *searcher) evaluate(st *state) (cost.Summary, error) {
-	sn := s.snap(st)
-	sch, err := sn.scheme("debug")
-	if err != nil {
-		return cost.Summary{}, err
-	}
-	_, sum := cost.Evaluate(sch)
-	return sum, nil
 }

@@ -2,11 +2,15 @@
 # Tiered verification for the repo.
 #
 #   scripts/verify.sh          # tier 1 only: build + tests (the CI gate)
-#   scripts/verify.sh all      # tiers 1-8: + vet/race, + fault determinism,
+#   scripts/verify.sh all      # tiers 1-9: + vet/race, + fault determinism,
 #                              #   + oracle soak, + chaos, + multilevel,
-#                              #   + batch/async daemon-client e2e, + cluster
+#                              #   + batch/async daemon-client e2e, + cluster,
+#                              #   + pr13 baseline gate
 #
-# Tier 1  go build + go test             — must always pass (ROADMAP gate)
+# Tier 1  go build + go test             — must always pass (ROADMAP gate),
+#         plus go vet + go test of the servebench module: it is a Go
+#         module of its own, so the root ./... never builds it, and a
+#         serve/core API change would otherwise break it silently
 # Tier 2  go vet + go test -race         — static checks and race detection,
 #         plus a 1-iteration Solve benchmark smoke run
 
@@ -55,12 +59,19 @@
 #         and the benchmark baseline gate pr9 -> pr10 (solve metrics
 #         must stay byte-identical: clustering serves results, it must
 #         not change them).
+# Tier 9  the benchmark baseline gate pr12 -> pr13: the bitset covering
+#         and mask-based move legality are identity-preserving, so every
+#         headline metric compares byte-identical. Both reports were
+#         recorded back to back on one host under `taskset -c 0` (pr12
+#         from the parent commit), so their runtimes compare without
+#         cross-host drift.
 set -e
 cd "$(dirname "$0")/.."
 
 echo "== tier 1: build + test =="
 go build ./...
 go test ./...
+(cd servebench && go vet ./... && go test ./...)
 
 if [ "$1" = "all" ]; then
 	echo "== tier 2: vet + race =="
@@ -111,6 +122,9 @@ if [ "$1" = "all" ]; then
 
 	echo "== tier 8: benchmark baseline gate (pr9 -> pr10) =="
 	go run ./scripts -tol 25 results/BENCH_pr9.json results/BENCH_pr10.json
+
+	echo "== tier 9: benchmark baseline gate (pr12 -> pr13) =="
+	go run ./scripts -tol 25 results/BENCH_pr12.json results/BENCH_pr13.json
 fi
 
 echo "verify: OK"
