@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -80,10 +81,15 @@ func corpusDesigns(t testing.TB) []*design.Design {
 }
 
 // TestDifferentialMultilevelVsReference is the engine's correctness
-// anchor on instances the reference oracle can still enumerate:
+// anchor on instances the direct engine can still enumerate. The
+// reference is partition.SolveContext, which partition's own
+// TestDifferentialIncrementalVsReference pins byte for byte to the
+// retained pre-incremental oracle over this same corpus (the paper
+// designs plus synthetic.Generate(1, n) at the same n) and the same
+// modular and 85% budgets, so the chain reaches the oracle:
 //
 //   - below the coarsening threshold the multilevel engine delegates,
-//     and its result is byte-identical to the reference engine's
+//     and its result is byte-identical to the reference's
 //     (scheme, summary, state counts, trace — everything);
 //   - with coarsening forced, the result must cost no more than the
 //     reference's (the chain may find a better basin; the polish pass
@@ -105,7 +111,7 @@ func TestDifferentialMultilevelVsReference(t *testing.T) {
 		} {
 			label := d.Name + "/" + bc.name
 			popts := partition.Options{Budget: bc.budget}
-			ref, rerr := partition.ReferenceSolve(nil, d, popts)
+			ref, rerr := partition.SolveContext(context.Background(), d, popts)
 
 			// Delegated path: byte identity with the engine family.
 			ml, merr := Solve(d, Options{Partition: popts, Seed: 1})

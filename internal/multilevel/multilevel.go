@@ -218,11 +218,10 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 
 	// Uncoarsen: refine at every level, projecting downward. Each
 	// level's refinement inherits the partition worker count: its move
-	// scan shards across up to that many workers (coarse levels with
-	// few regions fall back to the single-pass scan below the sharding
-	// threshold — see partition/refine_parallel.go). The gauge records
-	// the resolved count; per-level timers attribute the wall-clock win
-	// per level in prbench traces.
+	// scan shards across up to that many workers (see
+	// partition/refine_parallel.go). The gauge records the resolved
+	// count; per-level timers attribute the wall-clock win per level in
+	// prbench traces.
 	stopRefine := ob.Timer("multilevel.phase.refine").Time()
 	ob.Gauge("multilevel.refine.workers").Observe(int64(partition.EffectiveRefineWorkers(o.Partition.Workers)))
 	var chain *partition.Result

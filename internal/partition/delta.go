@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math"
+
 	"prpart/internal/device"
 	"prpart/internal/resource"
 )
@@ -24,19 +26,13 @@ import (
 //     walks every group.
 //
 // Determinism contract: every quantity produced here is exactly the
-// integer the non-incremental reference path (moveDelta, totalCost,
-// totalArea in reference.go / state.go) computes — not approximately,
-// bit for bit — so the optimised descent visits the same states in the
-// same order and returns byte-identical schemes and traces. The
-// differential and property suites in delta_test.go and
+// integer the non-incremental reference path (moveDelta in
+// reference_test.go, totalCost and totalArea in state.go) computes —
+// not approximately, bit for bit — so the optimised descent visits the
+// same states in the same order and returns byte-identical schemes and
+// traces. The differential and property suites in delta_test.go and
 // incremental_differential_test.go enforce this.
 
-// scratch is the reusable working set of one search worker: move and
-// activation buffers, the delta cache and the quantisation memo. A
-// scratch is reused across the candidate sets a worker processes
-// (avoiding re-growth of the maps and slices) but reset per set, so
-// cache hit/miss counters are a deterministic function of the input
-// regardless of how sets are distributed over workers.
 // scoredMove is a first move paired with its cost delta, for the
 // restart-ordering sort in run.
 type scoredMove struct {
@@ -44,29 +40,81 @@ type scoredMove struct {
 	d  int64
 }
 
+// scratch is the reusable working set of one search worker: the
+// first-move buffers, the move scan's shard caches and dense
+// destination rows (see refine_parallel.go), and the group id counter.
+// A scratch is reused across the candidate sets a worker processes
+// (avoiding re-growth of the maps and slices) but reset per set, so
+// cache hit/miss counters are a deterministic function of the input
+// regardless of how sets are distributed over workers.
 type scratch struct {
 	moves  []move
 	scored []scoredMove
-	act    []int32
-	pairs  pairTable
-	quant  map[resource.Vector]quantEntry
-	nextID uint64
+	shards [scanShards]*shard
+	rows   []extRow
+	// epoch numbers the row epochs of this scratch (see newEpoch) and
+	// nextSlot the row slots handed out in the current one. The epoch
+	// only grows, so row stamps and group slots left by an earlier
+	// epoch — of this candidate set or an earlier one — never match.
+	epoch    uint32
+	nextSlot int32
+	nextID   uint64
+}
+
+// shard is the cache state of one of the move scan's fixed shards: its
+// delta cache, quantisation memo and activation buffer. Every cached
+// lookup goes through the shard that owns the move (see owner), so a
+// shard is touched by one goroutine at a time.
+type shard struct {
+	act   []int32
+	pairs pairTable
+	quant map[resource.Vector]quantEntry
 }
 
 func newScratch() *scratch {
-	sc := &scratch{
-		quant: make(map[resource.Vector]quantEntry),
+	sc := &scratch{}
+	for i := range sc.shards {
+		sh := &shard{quant: make(map[resource.Vector]quantEntry)}
+		sh.pairs.init()
+		sc.shards[i] = sh
 	}
-	sc.pairs.init()
 	return sc
 }
 
 // reset prepares the scratch for a new candidate set. Map and table
-// storage is retained (only marked empty), group ids restart at zero.
+// storage is retained (only marked empty), group ids restart at zero,
+// and a new row epoch opens.
 func (sc *scratch) reset() {
-	sc.pairs.reset()
-	clear(sc.quant)
+	for _, sh := range sc.shards {
+		sh.pairs.reset()
+		clear(sh.quant)
+	}
 	sc.nextID = 0
+	sc.newEpoch()
+}
+
+// newEpoch opens a row epoch for the greedy descents run from one start
+// state (see extRow): bumping the epoch retires every row slot and
+// group slot number of the previous epoch at once.
+func (sc *scratch) newEpoch() {
+	if sc.epoch == math.MaxUint32 {
+		panic("partition: row epoch overflow")
+	}
+	sc.epoch++
+	sc.nextSlot = 0
+}
+
+// owner returns the shard whose cache evaluates mv in the move scan:
+// the source group's id picks it for merges and static promotions, the
+// moved part's index for transfers. Both survive unrelated moves, so a
+// shard re-hits its own entries across iterations, and applying the
+// move the scan picked always hits.
+func (s *searcher) owner(st *state, mv move) *shard {
+	gi := st.groups[mv.i]
+	if mv.part >= 0 {
+		return s.sc.shards[gi.parts[mv.part]%scanShards]
+	}
+	return s.sc.shards[gi.id%scanShards]
 }
 
 // Delta-cache key kinds, stored in the top bits of pairKey.a. Group ids
@@ -113,8 +161,10 @@ type pairTable struct {
 	n       int
 }
 
+// init sizes the table small: every worker carries scanShards tables,
+// and most candidate sets fill each with a few hundred entries at most.
 func (t *pairTable) init() {
-	const initialSlots = 1 << 12
+	const initialSlots = 1 << 8
 	t.keys = make([]uint64, initialSlots)
 	t.entries = make([]pairEntry, initialSlots)
 }
@@ -182,42 +232,40 @@ type quantEntry struct {
 // a raw resource requirement, memoised per candidate set. Both are pure
 // functions of res (given the searcher's NoQuantize option), so the
 // memo can never change a result — only skip recomputing it. The memo
-// lives in the caller-supplied scratch: the serial descent passes the
-// searcher's own s.sc, the parallel refine scan passes its shard's
-// scratch (see refine_parallel.go), so no scratch is ever shared
-// between goroutines.
-func (s *searcher) quantize(sc *scratch, res resource.Vector) (area resource.Vector, frames int64) {
-	if e, ok := sc.quant[res]; ok {
+// lives in the caller's shard, so it is never shared between
+// goroutines.
+func (s *searcher) quantize(sh *shard, res resource.Vector) (area resource.Vector, frames int64) {
+	if e, ok := sh.quant[res]; ok {
 		s.cQuantHit.Inc()
 		return e.area, e.frames
 	}
 	s.cQuantMiss.Inc()
 	area = device.TilesToPrimitives(device.Tiles(res))
 	frames = s.searchFrames(res)
-	sc.quant[res] = quantEntry{area: area, frames: frames}
+	sh.quant[res] = quantEntry{area: area, frames: frames}
 	return area, frames
 }
 
 // mergeEntry returns the contribution and area of the group that would
 // result from merging gi and gj, cached under the unordered id pair.
-func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
+func (s *searcher) mergeEntry(sh *shard, gi, gj *group) pairEntry {
 	a, b := gi.id, gj.id
 	if a > b {
 		a, b = b, a
 	}
 	key := pairKey(kindMerge, a, b)
-	if e, ok := sc.pairs.get(key); ok {
+	if e, ok := sh.pairs.get(key); ok {
 		s.cDeltaHit.Inc()
 		return e
 	}
 	s.cDeltaMiss.Inc()
 	res := gi.res.Max(gj.res)
-	area, frames := s.quantize(sc, res)
+	area, frames := s.quantize(sh, res)
 	var contrib int64
 	if s.weights != nil {
 		// Compatibility guarantees at most one side is active per
 		// configuration, so the merged activation is a plain overlay.
-		act := sc.act[:0]
+		act := sh.act[:0]
 		for ci := range gi.act {
 			if gi.act[ci] != 0 {
 				act = append(act, gi.act[ci])
@@ -225,7 +273,7 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 				act = append(act, gj.act[ci])
 			}
 		}
-		sc.act = act
+		sh.act = act
 		contrib = frames * s.weightedDiff(act)
 	} else {
 		sum := int64(gi.active + gj.active)
@@ -233,30 +281,30 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 		contrib = frames * (sum*sum - sq) / 2
 	}
 	e := pairEntry{contrib: contrib, area: area}
-	sc.pairs.put(key, e)
+	sh.pairs.put(key, e)
 	return e
 }
 
 // extendEntry returns the contribution and area of group gj extended by
 // candidate part pi — the destination side of a transfer move.
-func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
+func (s *searcher) extendEntry(sh *shard, gj *group, pi int) pairEntry {
 	key := pairKey(kindExtend, gj.id, uint64(pi))
-	if e, ok := sc.pairs.get(key); ok {
+	if e, ok := sh.pairs.get(key); ok {
 		s.cDeltaHit.Inc()
 		return e
 	}
 	s.cDeltaMiss.Inc()
 	res := gj.res.Max(s.partRes[pi])
-	area, frames := s.quantize(sc, res)
+	area, frames := s.quantize(sh, res)
 	var contrib int64
 	if s.weights != nil {
-		act := append(sc.act[:0], gj.act...)
+		act := append(sh.act[:0], gj.act...)
 		for ci := range s.cs.Active {
 			if s.cs.Active[ci][pi] {
 				act[ci] = int32(pi) + 1
 			}
 		}
-		sc.act = act
+		sh.act = act
 		contrib = frames * s.weightedDiff(act)
 	} else {
 		n := int64(s.partAct[pi])
@@ -265,7 +313,7 @@ func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
 		contrib = frames * (sum*sum - sq) / 2
 	}
 	e := pairEntry{contrib: contrib, area: area}
-	sc.pairs.put(key, e)
+	sh.pairs.put(key, e)
 	return e
 }
 
@@ -274,10 +322,10 @@ func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
 // cannot be computed incrementally (max does not subtract), so a miss
 // walks the remaining parts; the cache makes that a one-time cost per
 // (group, part) combination.
-func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
+func (s *searcher) shrinkEntry(sh *shard, gi *group, k int) pairEntry {
 	pi := gi.parts[k]
 	key := pairKey(kindShrink, gi.id, uint64(pi))
-	if e, ok := sc.pairs.get(key); ok {
+	if e, ok := sh.pairs.get(key); ok {
 		s.cDeltaHit.Inc()
 		return e
 	}
@@ -294,10 +342,10 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 		active += s.partAct[p]
 		sumSq += n * n
 	}
-	area, frames := s.quantize(sc, res)
+	area, frames := s.quantize(sh, res)
 	var contrib int64
 	if s.weights != nil {
-		act := sc.act[:0]
+		act := sh.act[:0]
 		for range s.d.Configurations {
 			act = append(act, 0)
 		}
@@ -311,45 +359,26 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 				}
 			}
 		}
-		sc.act = act
+		sh.act = act
 		contrib = frames * s.weightedDiff(act)
 	} else {
 		sum := int64(active)
 		contrib = frames * (sum*sum - sumSq) / 2
 	}
 	e := pairEntry{contrib: contrib, area: area}
-	sc.pairs.put(key, e)
+	sh.pairs.put(key, e)
 	return e
 }
 
-// evalMove is the incremental counterpart of moveDelta: it produces a
-// candidate move's exact cost delta, resulting total area and budget
-// violation from the delta cache and the state's running aggregates,
-// and applies the area-based rejection rule the greedy policy uses
-// (while feasible a move must stay feasible; while infeasible it must
-// shrink the violation). ok=false reports such a rejection. For
-// transfer moves the rejection can often be decided from the
-// destination group alone — the source group's area is non-negative and
-// violation is monotone in area, so a lower bound that already fails
-// proves the exact area fails too, and the source side is never built.
-func (s *searcher) evalMove(sc *scratch, st *state, mv move, curArea resource.Vector, curViol int64) (dCost int64, newArea resource.Vector, v int64, ok bool) {
-	if mv.part >= 0 && mv.j >= 0 {
-		gi, gj := st.groups[mv.i], st.groups[mv.j]
-		pi := gi.parts[mv.part]
-		dst := s.extendEntry(sc, gj, pi)
-		lower := curArea.Sub(gi.area).Sub(gj.area).Add(dst.area)
-		if _, rej := s.areaViolation(lower, curViol); rej {
-			return 0, resource.Vector{}, 0, false
-		}
-		src := s.shrinkEntry(sc, gi, mv.part)
-		newArea = lower.Add(src.area)
-		v, rej := s.areaViolation(newArea, curViol)
-		if rej {
-			return 0, resource.Vector{}, 0, false
-		}
-		dCost = dst.contrib + src.contrib - gi.contrib - gj.contrib
-		return dCost, newArea, v, true
-	}
+// evalMove is the incremental counterpart of moveDelta for merges and
+// static promotions (the scan evaluates transfers inline, see pass in
+// refine_parallel.go): it produces the move's exact cost delta,
+// resulting total area and budget violation from the delta cache and
+// the state's running aggregates, and applies the area-based rejection
+// rule the greedy policy uses (while feasible a move must stay
+// feasible; while infeasible it must shrink the violation). ok=false
+// reports such a rejection.
+func (s *searcher) evalMove(sh *shard, st *state, mv move, curArea resource.Vector, curViol int64) (dCost int64, newArea resource.Vector, v int64, ok bool) {
 	if mv.j < 0 {
 		g := st.groups[mv.i]
 		newArea = curArea.Sub(g.area).Add(g.raw)
@@ -360,7 +389,7 @@ func (s *searcher) evalMove(sc *scratch, st *state, mv move, curArea resource.Ve
 		return -g.contrib, newArea, v, true
 	}
 	gi, gj := st.groups[mv.i], st.groups[mv.j]
-	e := s.mergeEntry(sc, gi, gj)
+	e := s.mergeEntry(sh, gi, gj)
 	newArea = curArea.Sub(gi.area).Sub(gj.area).Add(e.area)
 	v, rej := s.areaViolation(newArea, curViol)
 	if rej {
@@ -390,16 +419,13 @@ func (s *searcher) areaViolation(area resource.Vector, curViol int64) (v int64, 
 
 // moveCost returns just the cost delta of a merge or static-promotion
 // move — the restart-ordering heuristic in run scores every first move
-// regardless of feasibility and never needs the area.
+// regardless of feasibility and never needs the area. First moves are
+// never transfers.
 func (s *searcher) moveCost(st *state, mv move) int64 {
-	if mv.part >= 0 && mv.j >= 0 {
-		d, _ := s.moveDelta(st, mv) // transfers are never first moves
-		return d
-	}
 	if mv.j < 0 {
 		return -st.groups[mv.i].contrib
 	}
 	gi, gj := st.groups[mv.i], st.groups[mv.j]
-	e := s.mergeEntry(s.sc, gi, gj)
+	e := s.mergeEntry(s.owner(st, mv), gi, gj)
 	return e.contrib - gi.contrib - gj.contrib
 }

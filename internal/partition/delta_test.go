@@ -33,8 +33,9 @@ func newTestSearchers(t *testing.T, d *design.Design, opts Options) []*searcher 
 }
 
 // checkStateAgainstOracle compares every legal move's incremental
-// evaluation against the from-first-principles moveDelta, and the
-// state's running aggregates against full recomputation.
+// evaluation against the from-first-principles moveDelta, the move
+// scan's pick against the reference engine's, and the state's running
+// aggregates against full recomputation.
 func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state, step int) {
 	t.Helper()
 	if got, want := st.cost, st.totalCost(); got != want {
@@ -50,10 +51,26 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 		}
 		return curViol-v <= 0
 	}
-	for _, mv := range s.appendLegalMoves(nil, st, true, true) {
+	for _, mv := range s.referenceMoves(st, true, true) {
 		wantD, wantArea := s.moveDelta(st, mv)
 		wantV := s.violation(wantArea)
-		gotD, gotArea, gotV, ok := s.evalMove(s.sc, st, mv, st.area, curViol)
+		var gotD, gotV int64
+		var gotArea resource.Vector
+		var ok bool
+		if mv.part >= 0 {
+			// The scan evaluates transfers inline from the same two
+			// cache entries and the running area.
+			sh := s.owner(st, mv)
+			gi, gj := st.groups[mv.i], st.groups[mv.j]
+			dst := s.extendEntry(sh, gj, gi.parts[mv.part])
+			src := s.shrinkEntry(sh, gi, mv.part)
+			gotArea = st.area.Sub(gi.area).Sub(gj.area).Add(dst.area).Add(src.area)
+			var rej bool
+			gotV, rej = s.areaViolation(gotArea, curViol)
+			gotD, ok = dst.contrib+src.contrib-gi.contrib-gj.contrib, !rej
+		} else {
+			gotD, gotArea, gotV, ok = s.evalMove(s.owner(st, mv), st, mv, st.area, curViol)
+		}
 		if !ok {
 			// The cache may only reject moves the greedy policy's
 			// area rule would reject on the oracle's numbers too.
@@ -69,6 +86,14 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 		if gotD != wantD || gotArea != wantArea || gotV != wantV {
 			t.Fatalf("%s step %d move %+v: evalMove (d=%d area=%v v=%d) != moveDelta (d=%d area=%v v=%d)",
 				label, step, mv, gotD, gotArea, gotV, wantD, wantArea, wantV)
+		}
+	}
+	for _, transfers := range []bool{false, true} {
+		got, gok := s.par.scan(st, true, transfers)
+		want, wok := s.referenceBest(st, true, transfers)
+		if got != want || gok != wok {
+			t.Fatalf("%s step %d transfers=%v: scan picked %+v (ok=%v), reference %+v (ok=%v)",
+				label, step, transfers, got, gok, want, wok)
 		}
 	}
 }
@@ -96,14 +121,14 @@ func TestDeltaCacheMatchesMoveDelta(t *testing.T) {
 				st := s.initial()
 				for step := 0; step < 12; step++ {
 					checkStateAgainstOracle(t, label, s, st, step)
-					moves := s.appendLegalMoves(nil, st, true, true)
+					moves := s.referenceMoves(st, true, true)
 					if len(moves) == 0 {
 						break
 					}
 					// Deterministic pseudo-arbitrary choice, varied by
 					// candidate set and step.
 					mv := moves[(step*13+si*7+5)%len(moves)]
-					s.applyMove(s.sc, st, mv)
+					s.applyMove(st, mv)
 				}
 			}
 		}
@@ -132,11 +157,11 @@ func TestDeltaCacheMatchesMoveDeltaWeighted(t *testing.T) {
 			st := s.initial()
 			for step := 0; step < 10; step++ {
 				checkStateAgainstOracle(t, d.Name+"/weighted", s, st, step)
-				moves := s.appendLegalMoves(nil, st, true, true)
+				moves := s.referenceMoves(st, true, true)
 				if len(moves) == 0 {
 					break
 				}
-				s.applyMove(s.sc, st, moves[(step*11+si*3+2)%len(moves)])
+				s.applyMove(st, moves[(step*11+si*3+2)%len(moves)])
 			}
 		}
 	}
@@ -154,8 +179,9 @@ func TestQuantMemo(t *testing.T) {
 		resource.New(1200, 12, 0),
 		resource.New(6800, 64, 150),
 	}
+	sh := s.sc.shards[0]
 	for _, res := range vecs {
-		area, frames := s.quantize(s.sc, res)
+		area, frames := s.quantize(sh, res)
 		if want := device.TilesToPrimitives(device.Tiles(res)); area != want {
 			t.Errorf("quantize(%v) area = %v, want %v", res, area, want)
 		}
@@ -163,12 +189,12 @@ func TestQuantMemo(t *testing.T) {
 			t.Errorf("quantize(%v) frames = %d, want %d", res, frames, want)
 		}
 	}
-	size := len(s.sc.quant)
+	size := len(sh.quant)
 	for _, res := range vecs {
-		s.quantize(s.sc, res)
+		s.quantize(sh, res)
 	}
-	if len(s.sc.quant) != size {
-		t.Errorf("repeated quantize grew the memo: %d -> %d entries", size, len(s.sc.quant))
+	if len(sh.quant) != size {
+		t.Errorf("repeated quantize grew the memo: %d -> %d entries", size, len(sh.quant))
 	}
 }
 

@@ -147,12 +147,11 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	m := connmat.New(d)
 	cs := &cover.CandidateSet{Parts: ws.Parts, Active: ws.Active}
 	s := newSearcher(d, m, cs, opts, newScratch())
-	// Shard large scan iterations over Options.Workers (refine is the
-	// only caller of the per-iteration parallel scan; the shard
+	// Spread each scan iteration over Options.Workers. The shard
 	// decomposition is Workers-independent, so any worker count —
 	// including the serial default — produces byte-identical schemes
-	// and identical obs counters; see refine_parallel.go).
-	s.par = newParScan(s, opts.Workers)
+	// and identical obs counters (see refine_parallel.go).
+	s.par.workers = EffectiveRefineWorkers(opts.Workers)
 	defer s.par.close()
 
 	// Group-internal compatibility: since a group's mask is the union of

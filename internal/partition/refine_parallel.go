@@ -7,63 +7,58 @@ import (
 	"prpart/internal/resource"
 )
 
-// This file parallelises the greedy descent's per-iteration move scan
-// for the warm-start refine path (RefineContext), where a single level
-// of a multilevel solve can carry a thousand candidate parts and the
-// transfer scan — O(parts × groups) evaluations per applied move —
-// dominates the whole solve (≈99% of wall time on the 10³-mode huge
-// tier). The scan is embarrassingly parallel: candidate moves are
-// independent reads of the immutable current state; only the winning
-// move's application mutates anything, and that stays serial.
+// This file is the greedy descent's move scan (§IV-C, Fig. 6): each
+// iteration enumerates every legal merge, static promotion and (when
+// the descent allows them) single-part transfer of the current state,
+// evaluates each through the delta cache, and returns the greedy
+// winner. Candidates are independent reads of the immutable current
+// state; only the winner's application mutates anything, and that
+// stays serial in greedy. The solve path runs the scan with one
+// worker, because candidate sets are already its unit of parallelism;
+// RefineContext spreads each iteration over Options.Workers, because at
+// the multilevel huge tier one refine level carries a thousand parts
+// and its transfer scan — O(parts × groups) evaluations per applied
+// move — is almost the whole solve.
 //
-// The design constraint is the repo's serial-vs-parallel identity
-// contract: Workers must change wall-clock time and nothing else — not
-// the scheme, not the trace, not one obs counter. Three decisions make
+// The design constraint is the serial-vs-parallel identity contract:
+// Workers must change wall-clock time and nothing else — not the
+// scheme, not the trace, not one obs counter. Three decisions make
 // that hold by construction rather than by tolerance:
 //
-//   - Fixed sharding, independent of Workers. The candidate space is
-//     always split into refineShards fixed shards (merge/static moves
-//     by source-group id, transfers by source part index); workers are
-//     merely who executes a shard. Every per-shard cache and counter
-//     trajectory is therefore a pure function of the input.
-//   - Per-shard scratches. The PR 4 delta cache and quantise memo are
-//     allocation-free but single-threaded; each shard owns a private
-//     scratch, and shard ownership is stable across iterations (group
-//     ids survive unrelated moves, part indices never change), so a
-//     shard re-hits its own cache exactly as the shared serial cache
-//     would. Cached entries are exact pure functions of their operands,
-//     so splitting the cache can change hit/miss timing, never a value.
-//   - Deterministic fixed-order reduction. Every candidate carries an
-//     ordinal encoding its position in the serial enumeration order of
-//     appendLegalMoves; in-shard incumbent updates and the cross-shard
-//     reduction break exact score ties by that ordinal, which replays
-//     the serial scan's first-wins tie-breaking no matter which shard
-//     or worker saw the move.
+//   - Fixed ownership, independent of Workers. The candidate space is
+//     split into scanShards fixed shards (merge and static moves by
+//     source-group id, transfers by moved part index; see owner).
+//     Workers are merely who executes a shard. With one worker the
+//     scan makes a single pass in enumeration order and evaluates each
+//     candidate against its owner shard's cache. Either way each shard
+//     sees the same set of lookups per iteration, so every cache and
+//     counter trajectory is a pure function of the input.
+//   - Per-shard caches. The delta cache and quantisation memo are
+//     allocation-free but single-threaded, so each shard owns a private
+//     set (shard in delta.go). Ownership is stable across iterations
+//     (group ids survive unrelated moves, part indices never change),
+//     so a shard re-hits its own entries. Cached entries are exact pure
+//     functions of their operands, so splitting the cache can change
+//     hit/miss counts, never a value.
+//   - Deterministic reduction. Every candidate carries an ordinal
+//     encoding its position in the enumeration order; incumbent updates
+//     and the cross-shard reduction break exact score ties by it, so
+//     the first-enumerated best move wins no matter which shard or
+//     worker saw it.
 
-const (
-	// refineShards is the fixed shard count of the scan decomposition.
-	// It is deliberately NOT the worker count: decomposition must be a
-	// pure function of the state for determinism, and 16 shards keep
-	// granularity fine enough that up to 16 workers stay busy.
-	refineShards = 16
-
-	// Sharding thresholds, on state shape only (never Workers): below
-	// them the classic single-pass scan wins on constant factors. A
-	// merge-dominated iteration shards when the group count alone makes
-	// the O(G²) pair scan worth splitting; a transfer iteration shards
-	// on live part count, since transfers contribute O(parts × groups)
-	// candidates.
-	refineParMinGroups = 64
-	refineParMinParts  = 128
-)
+// scanShards is the fixed shard count of the scan decomposition. It is
+// deliberately NOT the worker count: decomposition must be a pure
+// function of the state for determinism, and 16 shards keep granularity
+// fine enough that up to 16 workers stay busy.
+const scanShards = 16
 
 // EffectiveRefineWorkers resolves an Options.Workers value to the
-// worker count the refine scan will actually use: 0 and 1 run the
-// sharded scan inline, negative takes GOMAXPROCS, and the count is
-// capped at both the shard count and GOMAXPROCS (the shards are pure
-// CPU; extra workers beyond either bound only add scheduling overhead,
-// and since the decomposition is worker-independent the cap cannot
-// change any result).
+// worker count the refine scan will actually use: 0 and 1 run the scan
+// inline, negative takes GOMAXPROCS, and the count is capped at both
+// the shard count and GOMAXPROCS (the shards are pure CPU; extra
+// workers beyond either bound only add scheduling overhead, and since
+// the decomposition is worker-independent the cap cannot change any
+// result).
 func EffectiveRefineWorkers(workers int) int {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -74,52 +69,35 @@ func EffectiveRefineWorkers(workers int) int {
 	if max := runtime.GOMAXPROCS(0); workers > max {
 		workers = max
 	}
-	if workers > refineShards {
-		workers = refineShards
+	if workers > scanShards {
+		workers = scanShards
 	}
 	return workers
 }
 
-// parWorthwhile reports whether cur's scan is large enough to shard.
-// Pure function of the state and move vocabulary.
-func parWorthwhile(cur *state, allowTransfers bool) bool {
-	if len(cur.groups) >= refineParMinGroups {
-		return true
-	}
-	if !allowTransfers || len(cur.groups) < 2 {
-		return false
-	}
-	parts := 0
-	for _, g := range cur.groups {
-		parts += len(g.parts)
-	}
-	return parts >= refineParMinParts
-}
-
-// Ordinal move classes, matching appendLegalMoves' per-source order:
-// merges first, then the static promotion, then transfers.
+// Ordinal move classes, in per-source enumeration order: merges first,
+// then the static promotion, then transfers.
 const (
 	ordMerge uint64 = iota
 	ordStatic
 	ordTransfer
 )
 
-// moveOrd packs a candidate's position in the serial enumeration into
-// one comparable word: source index i (high), class, part slot k,
-// destination j (low). Lower ordinal ⇔ enumerated earlier by
-// appendLegalMoves. The field widths cover any reachable state — j and
-// i are group indices (a refine level has thousands of groups at
-// most), and k is a part slot within one group, which transfers only
-// enumerate while the whole level has ≤ refineTransferCap parts.
+// moveOrd packs a candidate's position in the enumeration order into
+// one comparable word, high to low: source group index i (21 bits),
+// class (2), part slot k (20), destination group index j (21). Lower
+// ordinal ⇔ enumerated earlier. Group indices and part slots are
+// bounded by the candidate set's part count, so every reachable state
+// fits; the panic guards the packing's injectivity.
 func moveOrd(i int, class uint64, k, j int) uint64 {
-	if i >= 1<<29 || j >= 1<<20 || k >= 1<<12 {
-		panic("partition: refine scan ordinal overflow")
+	if i >= 1<<21 || k >= 1<<20 || j >= 1<<21 {
+		panic("partition: move scan ordinal overflow")
 	}
-	return uint64(i)<<34 | class<<32 | uint64(k)<<20 | uint64(j)
+	return uint64(i)<<43 | class<<41 | uint64(k)<<21 | uint64(j)
 }
 
-// shardCand is a shard's incumbent best move plus its selection scores
-// and per-shard counter deltas.
+// shardCand is a scan pass's incumbent best move with its selection
+// scores, plus the pass's counter tallies.
 type shardCand struct {
 	ok    bool
 	mv    move
@@ -132,66 +110,74 @@ type shardCand struct {
 	rejects int64 // candidates rejected by the greedy policy
 }
 
-// betterCand reports whether candidate a beats incumbent b under the
-// greedy selection rule of the serial scan, with the enumeration
-// ordinal as the final tie-break (the serial scan keeps the first of
-// equals; ordinal order is enumeration order).
-func betterCand(a, b *shardCand, feasible bool) bool {
+// beatenBy reports whether a candidate with the given scores beats the
+// incumbent under the greedy selection rule: while feasible, the lower
+// cost delta, then the larger area saving; while infeasible, the lower
+// cost per unit of violation removed, then the lower resulting
+// violation. The enumeration ordinal breaks exact ties, so the first
+// enumerated of equals wins.
+func (c *shardCand) beatenBy(feasible bool, d, saved, v int64, ord uint64) bool {
+	if !c.ok {
+		return true
+	}
 	if feasible {
-		if a.d != b.d {
-			return a.d < b.d
+		if d != c.d {
+			return d < c.d
 		}
-		if a.saved != b.saved {
-			return a.saved > b.saved
+		if saved != c.saved {
+			return saved > c.saved
 		}
-		return a.ord < b.ord
+		return ord < c.ord
 	}
-	// Lower cost per violation removed wins; cross-multiply to stay in
-	// integers (saved > 0 on both sides).
-	al, bl := a.d*b.saved, b.d*a.saved
-	if al != bl {
-		return al < bl
+	// Cross-multiply to stay in integers (saved > 0 on both sides).
+	if l, r := d*c.saved, c.d*saved; l != r {
+		return l < r
 	}
-	if a.v != b.v {
-		return a.v < b.v
+	if v != c.v {
+		return v < c.v
 	}
-	return a.ord < b.ord
+	return ord < c.ord
 }
 
-// Dense extend-cache row states. extUnknown must be zero so freshly
-// grown rows start unknown.
+// Dense row slot states. extUnknown must be zero so freshly grown and
+// freshly cleared slots start unknown.
 const (
 	extUnknown uint8 = iota
 	extIncompatible
 	extCached
 )
 
-// extRow is the dense destination cache of one candidate part: for each
-// destination group id (the row index), whether the part may join that
-// group and, if so, the cached extension entry. Group ids are
-// per-candidate-set sequence numbers drawn from one counter and groups
-// are immutable, so a filled slot can never go stale — unlike a slot
-// indexed by group position, which applyMove's slice surgery would
-// shift every iteration. Rows turn the transfer scan's hottest lookup
-// from a random probe into the big shared hash table (a DRAM-latency
-// round trip per candidate) into a read of a compact per-part array
-// that the hardware prefetcher streams, because surviving groups keep
-// both their ids and their relative order.
+// extRow is the dense destination cache of one candidate part: for
+// each destination group's row slot, whether the part may join that
+// group and, if so, the cached extension entry. Slots are numbered per
+// row epoch (see scan), and an epoch covers the descents from one start
+// state: descend and each candidate set (so each RefineContext call)
+// open one. A descent only retires groups and creates at most two per
+// applied move, so an epoch's slots number at most the start groups
+// plus 2 × the summed depth of its (at most four) descents, however
+// many groups the candidate set has created before it; the descents
+// share the start groups' slots. Groups are immutable, so a filled
+// slot cannot go stale within its epoch; opening the next epoch empties
+// every row at once, since a row whose epoch is stale is cleared on its
+// next use (the shard hash tables keep their entries across epochs).
+// Rows turn the
+// transfer scan's hottest lookup from a random probe into the shard's
+// hash table into a read of a compact per-part array that the hardware
+// prefetcher streams, because surviving groups keep both their slots
+// and their relative order.
 type extRow struct {
-	flags []uint8     // per destination group id: extUnknown/extIncompatible/extCached
-	vals  []pairEntry // per destination group id, valid when flags is extCached
+	epoch uint32      // the epoch the flags belong to
+	flags []uint8     // per slot: extUnknown/extIncompatible/extCached
+	vals  []pairEntry // per slot, valid when flags is extCached
 }
 
-// grow extends the row with unknown slots so id is addressable. hint
-// is the caller's expected id high-water (the level's current id
-// counter plus slack): sizing new rows to it up front means a row is
-// normally allocated once and regrown only after hundreds of further
-// applied moves, instead of paying the doubling ladder from zero.
-func (r *extRow) grow(id, hint int) {
-	if id < len(r.flags) {
-		return
-	}
-	n := id + 1
+// grow extends the row with unknown slots so slot is addressable. hint
+// is the caller's expected slot high-water (the descent's slot count
+// plus slack): sizing new rows to it up front means a row is normally
+// allocated once and regrown only after further applied moves, instead
+// of paying the doubling ladder from zero.
+func (r *extRow) grow(slot, hint int) {
+	n := slot + 1
 	if n < hint {
 		n = hint
 	}
@@ -205,40 +191,25 @@ func (r *extRow) grow(id, hint int) {
 	r.flags, r.vals = flags, vals
 }
 
-// parScan executes sharded scans over a persistent worker pool. One
-// parScan belongs to one RefineContext call; scratches are created
-// lazily on the first sharded iteration, the pool on the first
-// iteration with more than one worker.
+// parScan is a searcher's move scan. The worker pool starts on the
+// first iteration run with more than one worker.
 type parScan struct {
 	s       *searcher
 	workers int
 
-	scratches [refineShards]*scratch
-	cands     [refineShards]shardCand
-
-	// ext holds one dense destination row per candidate part. A row is
-	// owned by the shard that owns its part (part index mod
-	// refineShards), so rows are never shared between workers. rowHint
-	// is the sizing hint rows grow to — the id counter's value at the
-	// start of the iteration plus slack, read serially in scan (the
-	// counter only moves in applyMove, never during a scan).
-	ext     []extRow
-	rowHint int
+	cands [scanShards]shardCand
 
 	// Per-iteration inputs, written before shards are dispatched and
-	// read-only while they run.
+	// read-only while they run. rowHint is the size rows grow to.
 	cur            *state
 	allowStatic    bool
 	allowTransfers bool
 	curArea        resource.Vector
 	curViol        int64
+	rowHint        int
 
 	jobs chan int
 	wg   sync.WaitGroup
-}
-
-func newParScan(s *searcher, workers int) *parScan {
-	return &parScan{s: s, workers: EffectiveRefineWorkers(workers)}
 }
 
 // close releases the worker pool (the goroutines exit when the job
@@ -250,123 +221,102 @@ func (p *parScan) close() {
 	}
 }
 
-// scan runs one sharded scan iteration and reduces the shard
-// incumbents in fixed shard order. The returned scratch is the one
-// whose cache evaluated the winner, so applyMove hits.
-func (p *parScan) scan(cur *state, allowStatic, allowTransfers bool) (move, *scratch, bool) {
-	if p.scratches[0] == nil {
-		for i := range p.scratches {
-			p.scratches[i] = newScratch()
+// scan selects the best legal move from cur under the greedy policy;
+// ok=false means no applicable move remains.
+func (p *parScan) scan(cur *state, allowStatic, allowTransfers bool) (move, bool) {
+	s, sc := p.s, p.s.sc
+	if allowTransfers {
+		// Number the groups the epoch has not seen yet. Only this
+		// serial prologue writes group slots.
+		for _, g := range cur.groups {
+			if g.slotEpoch != sc.epoch {
+				g.slot, g.slotEpoch = sc.nextSlot, sc.epoch
+				sc.nextSlot++
+			}
 		}
+		if n := len(s.partRes); len(sc.rows) < n {
+			sc.rows = append(sc.rows, make([]extRow, n-len(sc.rows))...)
+		}
+		p.rowHint = int(sc.nextSlot) + int(sc.nextSlot)/4
 	}
-	if p.ext == nil {
-		p.ext = make([]extRow, len(p.s.partRes))
-	}
-	p.rowHint = int(p.s.sc.nextID) + int(p.s.sc.nextID)/4
 	p.cur = cur
 	p.allowStatic, p.allowTransfers = allowStatic, allowTransfers
 	p.curArea = cur.area
-	p.curViol = p.s.violation(cur.area)
+	p.curViol = s.violation(cur.area)
 
+	var win shardCand
 	if p.workers <= 1 {
-		for si := 0; si < refineShards; si++ {
-			p.runShard(si)
-		}
+		win = p.pass(-1)
 	} else {
 		if p.jobs == nil {
-			p.jobs = make(chan int, refineShards)
+			// Sized to the sends of one iteration, so dispatch never
+			// blocks on a busy worker.
+			p.jobs = make(chan int, scanShards)
 			for w := 0; w < p.workers; w++ {
 				go func() {
 					for si := range p.jobs {
-						p.runShard(si)
+						p.cands[si] = p.pass(si)
 						p.wg.Done()
 					}
 				}()
 			}
 		}
-		p.wg.Add(refineShards)
-		for si := 0; si < refineShards; si++ {
+		p.wg.Add(scanShards)
+		for si := 0; si < scanShards; si++ {
 			p.jobs <- si
 		}
 		p.wg.Wait()
-	}
-
-	var nMoves, nRejects int64
-	win := -1
-	feasible := p.curViol == 0
-	for si := 0; si < refineShards; si++ {
-		c := &p.cands[si]
-		nMoves += c.moves
-		nRejects += c.rejects
-		if !c.ok {
-			continue
-		}
-		if win < 0 || betterCand(c, &p.cands[win], feasible) {
-			win = si
+		feasible := p.curViol == 0
+		for si := range p.cands {
+			c := &p.cands[si]
+			win.moves += c.moves
+			win.rejects += c.rejects
+			if c.ok && win.beatenBy(feasible, c.d, c.saved, c.v, c.ord) {
+				win.ok, win.mv, win.ord, win.d, win.v, win.saved = true, c.mv, c.ord, c.d, c.v, c.saved
+			}
 		}
 	}
-	p.s.cMoves.Add(nMoves)
-	p.s.cRejects.Add(nRejects)
-	if win < 0 {
-		return move{}, nil, false
-	}
-	wc := &p.cands[win]
-	return wc.mv, p.applyScratch(cur, wc.mv), true
+	s.cMoves.Add(win.moves)
+	s.cRejects.Add(win.rejects)
+	return win.mv, win.ok
 }
 
-// applyScratch returns the shard scratch that evaluated mv — the one
-// owning mv's shard under the same assignment runShard uses.
-func (p *parScan) applyScratch(cur *state, mv move) *scratch {
-	if mv.part >= 0 && mv.j >= 0 {
-		return p.scratches[cur.groups[mv.i].parts[mv.part]%refineShards]
-	}
-	return p.scratches[int(cur.groups[mv.i].id)%refineShards]
-}
-
-// runShard enumerates and evaluates shard si's slice of the candidate
-// space, keeping its best candidate in p.cands[si]. Ownership:
-// merge and static moves belong to the shard of their source group's
-// id (stable under unrelated moves — surviving groups keep their ids,
-// and the lower-indexed member of a surviving pair stays lower, since
-// applyMove's slice surgery preserves relative order); transfers
-// belong to the shard of the moved part's index (stable by
-// definition). Both assignments put every repeated evaluation of the
-// same cache key in the same shard, so per-shard caches re-hit across
-// iterations exactly like the shared serial cache.
-func (p *parScan) runShard(si int) {
-	s := p.s
-	sc := p.scratches[si]
+// pass enumerates and evaluates shard si's slice of the candidate space
+// — all of it when si < 0 — in enumeration order, each candidate
+// against its owner shard's cache, and returns the incumbent with the
+// pass's tallies. The incumbent is a local updated field by field: the
+// scan offers every candidate, and a per-candidate struct copy
+// measurably costs.
+func (p *parScan) pass(si int) shardCand {
+	s, sc := p.s, p.s.sc
 	cur := p.cur
 	curArea, curViol := p.curArea, p.curViol
+	curTotal := curArea.Total()
 	feasible := curViol == 0
-	best := &p.cands[si]
-	*best = shardCand{}
+	var best shardCand
 
 	// accept applies the greedy selection policy to an evaluated legal
-	// move and updates the shard incumbent — the post-evaluation half of
-	// the serial scan's per-candidate step.
+	// move and updates the incumbent.
 	accept := func(mv move, ord uint64, d int64, area resource.Vector, v int64) {
-		var cand shardCand
+		var saved int64
 		if feasible {
-			if d > 0 || (d == 0 && area.Total() >= curArea.Total()) {
+			// Accept strict cost improvements, or cost-neutral area
+			// reductions that make room for later static promotions.
+			if d > 0 || (d == 0 && area.Total() >= curTotal) {
 				best.rejects++
 				return
 			}
-			cand = shardCand{ok: true, mv: mv, ord: ord, d: d,
-				saved: int64(curArea.Total() - area.Total())}
+			saved = int64(curTotal - area.Total())
 		} else {
-			cand = shardCand{ok: true, mv: mv, ord: ord, d: d, v: v,
-				saved: curViol - v}
+			saved = curViol - v
 		}
-		if !best.ok || betterCand(&cand, best, feasible) {
-			cand.moves, cand.rejects = best.moves, best.rejects
-			*best = cand
+		if best.beatenBy(feasible, d, saved, v, ord) {
+			best.ok, best.mv, best.ord, best.d, best.v, best.saved = true, mv, ord, d, v, saved
 		}
 	}
-
-	consider := func(mv move, ord uint64) {
+	consider := func(sh *shard, mv move, ord uint64) {
 		best.moves++
-		d, area, v, ok := s.evalMove(sc, cur, mv, curArea, curViol)
+		d, area, v, ok := s.evalMove(sh, cur, mv, curArea, curViol)
 		if !ok {
 			best.rejects++
 			return
@@ -375,78 +325,78 @@ func (p *parScan) runShard(si int) {
 	}
 
 	groups := cur.groups
-	for i := 0; i < len(groups); i++ {
-		if int(groups[i].id)%refineShards != si {
-			continue
-		}
-		for j := i + 1; j < len(groups); j++ {
-			if s.groupsCompatible(groups[i], groups[j]) {
-				consider(move{i: i, j: j, part: -1}, moveOrd(i, ordMerge, 0, j))
+	for i, gi := range groups {
+		if own := int(gi.id % scanShards); si < 0 || own == si {
+			sh := sc.shards[own]
+			for j := i + 1; j < len(groups); j++ {
+				if s.groupsCompatible(gi, groups[j]) {
+					consider(sh, move{i: i, j: j, part: -1}, moveOrd(i, ordMerge, 0, j))
+				}
+			}
+			if p.allowStatic {
+				consider(sh, move{i: i, j: -1, part: -1}, moveOrd(i, ordStatic, 0, 0))
 			}
 		}
-		if p.allowStatic {
-			consider(move{i: i, j: -1, part: -1}, moveOrd(i, ordStatic, 0, 0))
-		}
-	}
-	if !p.allowTransfers {
-		return
-	}
-	for i := 0; i < len(groups); i++ {
 		// Moving the sole part of a group equals a merge, so only
-		// groups with two or more parts are sources (appendLegalMoves'
-		// rule).
-		gi := groups[i]
-		parts := gi.parts
-		if len(parts) < 2 {
+		// groups with two or more parts are transfer sources.
+		if !p.allowTransfers || len(gi.parts) < 2 {
 			continue
 		}
-		for k, pi := range parts {
-			if pi%refineShards != si {
+		for k, pi := range gi.parts {
+			own := pi % scanShards
+			if si >= 0 && own != si {
 				continue
 			}
-			row := &p.ext[pi]
+			sh := sc.shards[own]
+			row := &sc.rows[pi]
+			if row.epoch != sc.epoch {
+				clear(row.flags)
+				row.epoch = sc.epoch
+			}
 			// The source side of every (i, k, ·) transfer is the same
 			// shrunken group, so it is looked up at most once per source
 			// part — on the first destination that passes the area
 			// bound — instead of once per candidate.
 			var src pairEntry
 			haveSrc := false
-			for j := 0; j < len(groups); j++ {
+			for j, gj := range groups {
 				if j == i {
 					continue
 				}
-				gj := groups[j]
-				id := int(gj.id)
-				if id >= len(row.flags) {
-					row.grow(id, p.rowHint)
+				slot := int(gj.slot)
+				if slot >= len(row.flags) {
+					row.grow(slot, p.rowHint)
 				}
-				switch row.flags[id] {
+				switch row.flags[slot] {
 				case extIncompatible:
 					continue
 				case extUnknown:
 					if !s.partCompatible(pi, gj) {
-						row.flags[id] = extIncompatible
+						row.flags[slot] = extIncompatible
 						continue
 					}
-					row.vals[id] = s.extendEntry(sc, gj, pi)
-					row.flags[id] = extCached
+					row.vals[slot] = s.extendEntry(sh, gj, pi)
+					row.flags[slot] = extCached
 				default:
-					// The shard's hash cache necessarily holds this
-					// entry (the dense row was filled from it), so the
-					// dense read stands in for a hash hit.
+					// The shard's hash table necessarily holds this
+					// entry (the row was filled from it), so the dense
+					// read stands in for a hash hit.
 					s.cDeltaHit.Inc()
 				}
-				dst := row.vals[id]
-				// The evaluation below replays evalMove's transfer
-				// branch with the cached destination and hoisted source.
+				dst := row.vals[slot]
 				best.moves++
+				// Decide rejection from the destination side alone
+				// when possible: the source group's area is
+				// non-negative and violation is monotone in area, so a
+				// lower bound that already fails proves the exact area
+				// fails too, and the source side is never built.
 				lower := curArea.Sub(gi.area).Sub(gj.area).Add(dst.area)
 				if _, rej := s.areaViolation(lower, curViol); rej {
 					best.rejects++
 					continue
 				}
 				if !haveSrc {
-					src = s.shrinkEntry(sc, gi, k)
+					src = s.shrinkEntry(sh, gi, k)
 					haveSrc = true
 				}
 				newArea := lower.Add(src.area)
@@ -460,4 +410,5 @@ func (p *parScan) runShard(si int) {
 			}
 		}
 	}
+	return best
 }

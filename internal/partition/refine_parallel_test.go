@@ -9,8 +9,10 @@ import (
 
 	"prpart/internal/basepart"
 	"prpart/internal/design"
+	"prpart/internal/device"
 	"prpart/internal/modeset"
 	"prpart/internal/obs"
+	"prpart/internal/resource"
 	"prpart/internal/synthetic"
 )
 
@@ -84,24 +86,57 @@ func refineDiffCounters(a, b map[string]int64) string {
 	return strings.Join(out, "; ")
 }
 
-// TestRefineWorkersDeterminism pins the parallel scan's contract at the
-// Refine surface itself: for designs small and large — including one
-// big enough to cross the parWorthwhile thresholds, so the sharded path
-// actually runs — Workers∈{2,8} must reproduce the Workers=1 outcome
-// byte for byte (grouping, scheme summary, trace, state count) with
-// identical obs counters, and a second Workers=8 run must reproduce the
-// first (seed stability; the -count=5 tier re-proves this across
-// processes).
+// warmStartArea is the device area of a warm start's grouping,
+// fixed static logic included, as the search accounts it.
+func warmStartArea(d *design.Design, ws WarmStart) resource.Vector {
+	area := d.Static
+	for _, g := range ws.Groups {
+		var res resource.Vector
+		for _, pi := range g {
+			res = res.Max(ws.Parts[pi].Resources)
+		}
+		area = area.Add(device.TilesToPrimitives(device.Tiles(res)))
+	}
+	for _, pi := range ws.Static {
+		area = area.Add(ws.Parts[pi].Resources)
+	}
+	return area
+}
+
+// TestRefineWorkersDeterminism pins the scan's identity contract at the
+// Refine surface itself: for designs small and large, Workers∈{2,8}
+// must reproduce the Workers=1 outcome byte for byte (grouping, scheme
+// summary, trace, state count) with identical obs counters, and a
+// second Workers=8 run must reproduce the first (seed stability; the
+// -count=5 tier re-proves this across processes). Every case starts
+// over budget, so each descent opens in the infeasible phase, whose
+// ratio, violation and ordinal tie-breaks the cross-shard reduction
+// must resolve exactly as the single inline pass does; the tightened
+// small designs keep that phase long.
 func TestRefineWorkersDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	designs := []*design.Design{design.PaperExample(), design.VideoReceiver(),
-		synthetic.HugeOne(rng, synthetic.Logic, "refine-par-150", 150)}
-	designs = append(designs, synthetic.Generate(5, 6)...)
-	for _, d := range designs {
+	small := []*design.Design{design.PaperExample(), design.VideoReceiver()}
+	small = append(small, synthetic.Generate(5, 6)...)
+	type refineCase struct {
+		d      *design.Design
+		budget resource.Vector
+	}
+	var cases []refineCase
+	for _, d := range small {
+		budget := Modular(d).TotalResources()
+		cases = append(cases, refineCase{d, budget}, refineCase{d, tighten(budget, 85)})
+	}
+	huge := synthetic.HugeOne(rng, synthetic.Logic, "refine-par-150", 150)
+	cases = append(cases, refineCase{huge, Modular(huge).TotalResources()})
+	for _, c := range cases {
+		d := c.d
 		ws := refineWarmStart(d)
+		if warmStartArea(d, ws).FitsIn(c.budget) {
+			t.Fatalf("%s: warm start fits budget %v; the case must start over budget", d.Name, c.budget)
+		}
 		run := func(workers int) (string, map[string]int64) {
 			ob := obs.New()
-			out, err := Refine(d, ws, Options{Budget: Modular(d).TotalResources(), Workers: workers, Obs: ob})
+			out, err := Refine(d, ws, Options{Budget: c.budget, Workers: workers, Obs: ob})
 			if err != nil {
 				t.Fatalf("%s: refine workers=%d: %v", d.Name, workers, err)
 			}
@@ -118,5 +153,47 @@ func TestRefineWorkersDeterminism(t *testing.T) {
 				t.Fatalf("%s: workers=%d counters diverge from serial: %s", d.Name, w, diff)
 			}
 		}
+	}
+}
+
+// TestMoveOrd pins the scan ordinal's packing: order across every
+// field is preserved at the field maxima, and one past any maximum
+// panics rather than aliasing another candidate's ordinal.
+func TestMoveOrd(t *testing.T) {
+	const maxI, maxK, maxJ = 1<<21 - 1, 1<<20 - 1, 1<<21 - 1
+	ordered := []uint64{
+		moveOrd(0, ordMerge, 0, 0),
+		moveOrd(0, ordMerge, 0, maxJ),
+		moveOrd(0, ordStatic, 0, 0),
+		moveOrd(0, ordTransfer, 0, maxJ),
+		moveOrd(0, ordTransfer, maxK, 0),
+		moveOrd(0, ordTransfer, maxK, maxJ),
+		moveOrd(1, ordMerge, 0, 0),
+		moveOrd(maxI, ordMerge, 0, maxJ),
+		moveOrd(maxI, ordStatic, 0, 0),
+		moveOrd(maxI, ordTransfer, maxK, maxJ-1),
+		moveOrd(maxI, ordTransfer, maxK, maxJ),
+	}
+	for n := 1; n < len(ordered); n++ {
+		if ordered[n-1] >= ordered[n] {
+			t.Fatalf("ordinal %d (%#x) does not sort before ordinal %d (%#x)", n-1, ordered[n-1], n, ordered[n])
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		i, k, j int
+	}{
+		{"i", maxI + 1, 0, 0},
+		{"k", 0, maxK + 1, 0},
+		{"j", 0, 0, maxJ + 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("moveOrd with %s one past its maximum did not panic", c.name)
+				}
+			}()
+			moveOrd(c.i, ordTransfer, c.k, c.j)
+		}()
 	}
 }

@@ -52,7 +52,9 @@ type Options struct {
 	// Workers sets the number of candidate partition sets searched
 	// concurrently: 0 or 1 = serial, negative = GOMAXPROCS. The result
 	// is deterministic regardless of parallelism (per-set bests are
-	// reduced in candidate-set order).
+	// reduced in candidate-set order). RefineContext, which searches one
+	// set, spreads each move-scan iteration over Workers instead (see
+	// EffectiveRefineWorkers).
 	Workers int
 	// PinnedStatic lists modes the designer requires in static logic
 	// (e.g. a mode that must never incur reconfiguration latency). Every
@@ -193,65 +195,13 @@ func SolveContext(ctx context.Context, d *design.Design, opts Options) (*Result,
 
 // solveOnce is one search run under a single objective.
 func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, error) {
-	return solveSearch(ctx, d, opts, false)
-}
-
-// solveSearch is solveOnce with an engine selector: useReference routes
-// every candidate set through the retained pre-incremental oracle in
-// reference.go instead of the optimised descent. Differential tests use
-// it to prove the two engines return identical results; production
-// callers always pass false.
-func solveSearch(ctx context.Context, d *design.Design, opts Options, useReference bool) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: invalid design: %w", err)
-	}
-	if len(opts.PinnedStatic) > 0 {
-		if opts.NoStatic {
-			return nil, errors.New("partition: PinnedStatic conflicts with NoStatic")
-		}
-		used := make(map[design.ModeRef]bool)
-		for _, r := range d.UsedModes() {
-			used[r] = true
-		}
-		for _, r := range opts.PinnedStatic {
-			if !used[r] {
-				return nil, fmt.Errorf("partition: pinned mode %s is not used by any configuration", d.ModeName(r))
-			}
-		}
-	}
-	stopCluster := opts.Obs.Timer("partition.phase.cluster").Time()
-	m := connmat.New(d)
-
-	// Feasibility pre-check (§IV-C): the minimum possible area is the
-	// largest configuration in a single region.
-	if !SingleRegion(d).FitsIn(opts.Budget) {
-		stopCluster()
-		return nil, ErrInfeasible
-	}
-
-	parts, err := basepart.BasePartitions(m)
+	m, sets, err := candidateSets(d, opts)
 	if err != nil {
-		stopCluster()
 		return nil, err
 	}
-	ordered := cover.Order(parts)
-	if opts.CoverDescending {
-		for i, j := 0, len(ordered)-1; i < j; i, j = i+1, j-1 {
-			ordered[i], ordered[j] = ordered[j], ordered[i]
-		}
-	}
-	sets := cover.Sets(ordered, m)
-	if len(sets) > opts.maxSets() {
-		sets = sets[:opts.maxSets()]
-	}
-	if opts.GreedyOnly && len(sets) > 1 {
-		sets = sets[:1]
-	}
-	stopCluster()
 	opts.Obs.Counter("partition.candidate_sets").Add(int64(len(sets)))
 	opts.Obs.Emit("partition", "search.start",
 		obs.Str("design", d.Name), obs.Int("candidate_sets", int64(len(sets))))
-
 	snaps := make([]*snapshot, len(sets))
 	counts := make([]int, len(sets))
 	workers := opts.Workers
@@ -264,13 +214,7 @@ func solveSearch(ctx context.Context, d *design.Design, opts Options, useReferen
 	// scratch; the searcher itself is cheap, the scratch holds the
 	// buffers and caches worth keeping warm across sets.
 	runSet := func(i int, sc *scratch) {
-		s := newSearcher(d, m, sets[i], opts, sc)
-		if useReference {
-			s.useMasks = false
-			snaps[i], counts[i] = s.referenceRun()
-		} else {
-			snaps[i], counts[i] = s.run()
-		}
+		snaps[i], counts[i] = newSearcher(d, m, sets[i], opts, sc).run()
 	}
 	if workers <= 1 || len(sets) <= 1 {
 		opts.Obs.Gauge("partition.workers").Observe(1)
@@ -316,6 +260,63 @@ func solveSearch(ctx context.Context, d *design.Design, opts Options, useReferen
 			obs.Str("design", d.Name), obs.Str("cause", err.Error()))
 		return nil, fmt.Errorf("partition: search cancelled: %w", err)
 	}
+	return bestResult(d, opts, sets, snaps, counts)
+}
+
+// candidateSets validates a solve request and runs the clustering phase
+// (§IV-C): connectivity matrix, base partitions and the ordered
+// covering, cut to the option bounds.
+func candidateSets(d *design.Design, opts Options) (*connmat.Matrix, []*cover.CandidateSet, error) {
+	if err := d.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("partition: invalid design: %w", err)
+	}
+	if len(opts.PinnedStatic) > 0 {
+		if opts.NoStatic {
+			return nil, nil, errors.New("partition: PinnedStatic conflicts with NoStatic")
+		}
+		used := make(map[design.ModeRef]bool)
+		for _, r := range d.UsedModes() {
+			used[r] = true
+		}
+		for _, r := range opts.PinnedStatic {
+			if !used[r] {
+				return nil, nil, fmt.Errorf("partition: pinned mode %s is not used by any configuration", d.ModeName(r))
+			}
+		}
+	}
+	stopCluster := opts.Obs.Timer("partition.phase.cluster").Time()
+	defer stopCluster()
+	m := connmat.New(d)
+
+	// Feasibility pre-check (§IV-C): the minimum possible area is the
+	// largest configuration in a single region.
+	if !SingleRegion(d).FitsIn(opts.Budget) {
+		return nil, nil, ErrInfeasible
+	}
+
+	parts, err := basepart.BasePartitions(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	ordered := cover.Order(parts)
+	if opts.CoverDescending {
+		for i, j := 0, len(ordered)-1; i < j; i, j = i+1, j-1 {
+			ordered[i], ordered[j] = ordered[j], ordered[i]
+		}
+	}
+	sets := cover.Sets(ordered, m)
+	if len(sets) > opts.maxSets() {
+		sets = sets[:opts.maxSets()]
+	}
+	if opts.GreedyOnly && len(sets) > 1 {
+		sets = sets[:1]
+	}
+	return m, sets, nil
+}
+
+// bestResult reduces the per-set best snapshots in candidate-set order
+// and materialises the winner as a validated, evaluated Result.
+func bestResult(d *design.Design, opts Options, sets []*cover.CandidateSet, snaps []*snapshot, counts []int) (*Result, error) {
 	var best *snapshot
 	states := 0
 	for i, snap := range snaps {
@@ -367,9 +368,13 @@ type group struct {
 	contrib int64           // frames × (weighted) differing-pair mass
 	// mask is the union of the parts' configuration masks, which makes
 	// group-pair compatibility O(configs/64) instead of O(|ga|·|gb|).
-	// Nil only when the searcher runs without useMasks (the reference
-	// engine), which keeps the original pairwise probe.
 	mask compat.Mask
+	// slot and slotEpoch number the group within the current greedy
+	// descent for the move scan's dense rows (see extRow). They are
+	// scan bookkeeping, not part of the group's value, and only the
+	// scan's serial prologue writes them.
+	slot      int32
+	slotEpoch uint32
 }
 
 // diffPairs is the number of configuration pairs whose transition
@@ -399,17 +404,10 @@ type searcher struct {
 	// worker processes.
 	sc *scratch
 
-	// useMasks switches group construction and move legality onto
-	// group-level configuration masks (see group.mask). Both the solve
-	// and the Refine paths set it; only the reference engine clears it,
-	// so the differential suite keeps proving mask legality against the
-	// pairwise GroupCompatible definition.
-	useMasks bool
-
-	// par, when non-nil, shards large scan iterations across a worker
-	// pool (see refine_parallel.go). Only the Refine warm-start path
-	// sets it; the standard solve path parallelises over candidate
-	// sets instead and keeps its exact serial scan.
+	// par is the move scan behind every greedy iteration (see
+	// refine_parallel.go). It runs with one worker unless
+	// RefineContext sets Options.Workers; the result never depends on
+	// the worker count.
 	par *parScan
 
 	// Observability instruments, resolved once per searcher; all nil when
@@ -443,7 +441,8 @@ func checkWeights(w [][]float64, n int) error {
 }
 
 func newSearcher(d *design.Design, m *connmat.Matrix, cs *cover.CandidateSet, opts Options, sc *scratch) *searcher {
-	s := &searcher{d: d, cs: cs, opts: opts, sc: sc, useMasks: true}
+	s := &searcher{d: d, cs: cs, opts: opts, sc: sc}
+	s.par = &parScan{s: s, workers: 1}
 	// Caches are reset per candidate set so cache-counter values are a
 	// pure function of the input, independent of how sets are spread
 	// over workers (the serial-vs-parallel obs-identity contract).

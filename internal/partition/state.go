@@ -26,7 +26,8 @@ type state struct {
 	// cost and area are running aggregates maintained by applyMove:
 	// cost == totalCost() and area == totalArea() at all times on the
 	// optimised path, so per-candidate evaluation never walks the
-	// groups. The reference engine ignores them and recomputes.
+	// groups. The reference engine (reference_test.go) ignores them and
+	// recomputes.
 	cost int64
 	area resource.Vector
 }
@@ -105,36 +106,28 @@ func (s *searcher) newGroup(parts ...int) *group {
 	} else {
 		g.contrib = g.frames * g.diffPairs()
 	}
-	if s.useMasks {
-		mask := compat.NewMask(len(s.d.Configurations))
-		for _, pi := range parts {
-			pm := s.tab.Mask(pi)
-			for w := range mask {
-				mask[w] |= pm[w]
-			}
+	g.mask = compat.NewMask(len(s.d.Configurations))
+	for _, pi := range parts {
+		pm := s.tab.Mask(pi)
+		for w := range g.mask {
+			g.mask[w] |= pm[w]
 		}
-		g.mask = mask
 	}
 	return g
 }
 
-// groupsCompatible reports whether two groups may merge. With masks the
-// probe is a single mask intersection — a group's mask is the union of
-// its parts' masks, so disjoint masks ⇔ every cross pair compatible;
-// without them (the reference engine) it is the original pairwise walk.
+// groupsCompatible reports whether two groups may merge: a single mask
+// intersection, since a group's mask is the union of its parts' masks
+// and so disjoint masks ⇔ every cross pair compatible. The reference
+// engine's pairwise GroupCompatible walk pins the two definitions
+// together in the differential suite.
 func (s *searcher) groupsCompatible(ga, gb *group) bool {
-	if ga.mask != nil && gb.mask != nil {
-		return !ga.mask.Intersects(gb.mask)
-	}
-	return s.tab.GroupCompatible(ga.parts, gb.parts)
+	return !ga.mask.Intersects(gb.mask)
 }
 
 // partCompatible reports whether candidate part p may join group g.
 func (s *searcher) partCompatible(p int, g *group) bool {
-	if g.mask != nil {
-		return !s.tab.Mask(p).Intersects(g.mask)
-	}
-	return s.tab.GroupCompatible([]int{p}, g.parts)
+	return !s.tab.Mask(p).Intersects(g.mask)
 }
 
 // activation maps each configuration to the active part of the group
@@ -208,23 +201,21 @@ type move struct {
 }
 
 // applyMove applies mv to st in place, updating the running cost and
-// area aggregates from the delta cache. Because groups are immutable,
-// the surgery only edits st's own slices; earlier snapshots that still
-// reference the retired groups are unaffected. The slice-edit order
-// (new merged group appended last, after the transfer-source remnant)
-// matches the original engine exactly — group order feeds both move
-// enumeration and the scheme's stable region sort, so it is part of the
-// determinism contract.
-//
-// sc must be the scratch whose delta cache evaluated mv (the shard
-// scratch on the parallel refine path, s.sc otherwise) so the entry
-// lookups below always hit.
-func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
+// area aggregates from the delta cache of the shard that owns mv — the
+// one that evaluated it, so the entry lookups below always hit. Because
+// groups are immutable, the surgery only edits st's own slices; earlier
+// snapshots that still reference the retired groups are unaffected. The
+// slice-edit order (new merged group appended last, after the
+// transfer-source remnant) matches the original engine exactly — group
+// order feeds both move enumeration and the scheme's stable region
+// sort, so it is part of the determinism contract.
+func (s *searcher) applyMove(st *state, mv move) {
+	sh := s.owner(st, mv)
 	if mv.part >= 0 && mv.j >= 0 {
 		gi, gj := st.groups[mv.i], st.groups[mv.j]
 		pi := gi.parts[mv.part]
-		dst := s.extendEntry(sc, gj, pi)
-		src := s.shrinkEntry(sc, gi, mv.part)
+		dst := s.extendEntry(sh, gj, pi)
+		src := s.shrinkEntry(sh, gi, mv.part)
 		rest := make([]int, 0, len(gi.parts)-1)
 		for k, p := range gi.parts {
 			if k != mv.part {
@@ -258,7 +249,7 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 		return
 	}
 	gi, gj := st.groups[mv.i], st.groups[mv.j]
-	e := s.mergeEntry(sc, gi, gj)
+	e := s.mergeEntry(sh, gi, gj)
 	st.path = append(st.path, pathStep{a: gi.parts, b: gj.parts})
 	merged := s.newGroup(append(append([]int(nil), gi.parts...), gj.parts...)...)
 	hi, lo := mv.i, mv.j
@@ -275,15 +266,14 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 // apply returns a new state with the move applied.
 func (s *searcher) apply(st *state, mv move) *state {
 	out := st.clone()
-	s.applyMove(s.sc, out, mv)
+	s.applyMove(out, mv)
 	return out
 }
 
-// appendLegalMoves appends the moves available from st to out (reusing
-// its capacity): every compatible group merge, every single-part
-// transfer between groups (when allowTransfers), and (when allowStatic)
-// every static promotion.
-func (s *searcher) appendLegalMoves(out []move, st *state, allowStatic, allowTransfers bool) []move {
+// appendFirstMoves appends the restart candidates of run to out
+// (reusing its capacity): every compatible group merge and, when
+// allowStatic, every static promotion, in the scan's enumeration order.
+func (s *searcher) appendFirstMoves(out []move, st *state, allowStatic bool) []move {
 	for i := 0; i < len(st.groups); i++ {
 		for j := i + 1; j < len(st.groups); j++ {
 			if s.groupsCompatible(st.groups[i], st.groups[j]) {
@@ -293,84 +283,8 @@ func (s *searcher) appendLegalMoves(out []move, st *state, allowStatic, allowTra
 		if allowStatic {
 			out = append(out, move{i: i, j: -1, part: -1})
 		}
-		// Transfers: moving the sole part of a group equals a merge, so
-		// only groups with two or more parts are sources.
-		if !allowTransfers || len(st.groups[i].parts) < 2 {
-			continue
-		}
-		for k, p := range st.groups[i].parts {
-			for j := 0; j < len(st.groups); j++ {
-				if j == i {
-					continue
-				}
-				if s.partCompatible(p, st.groups[j]) {
-					out = append(out, move{i: i, j: j, part: k})
-				}
-			}
-		}
 	}
 	return out
-}
-
-// moveDelta predicts the cost and area effect of a move without building
-// the new state, from first principles: it rebuilds the affected groups
-// and recomputes the area sum. It is the non-incremental oracle the
-// delta cache is differentially tested against (see reference.go) and
-// is no longer on the hot path — evalMove in delta.go is.
-func (s *searcher) moveDelta(st *state, mv move) (dCost int64, newArea resource.Vector) {
-	area := st.totalArea()
-	if mv.part >= 0 && mv.j >= 0 {
-		gi, gj := st.groups[mv.i], st.groups[mv.j]
-		pi := gi.parts[mv.part]
-		rest := make([]int, 0, len(gi.parts)-1)
-		for k, p := range gi.parts {
-			if k != mv.part {
-				rest = append(rest, p)
-			}
-		}
-		dst := s.newGroup(append(append([]int(nil), gj.parts...), pi)...)
-		var src *group
-		srcContrib, srcArea := int64(0), resource.Vector{}
-		if len(rest) > 0 {
-			src = s.newGroup(rest...)
-			srcContrib, srcArea = src.contrib, src.area
-		}
-		dCost = dst.contrib + srcContrib - gi.contrib - gj.contrib
-		newArea = area.Sub(gi.area).Sub(gj.area).Add(dst.area).Add(srcArea)
-		return dCost, newArea
-	}
-	if mv.j < 0 {
-		g := st.groups[mv.i]
-		var raw resource.Vector
-		for _, pi := range g.parts {
-			raw = raw.Add(s.partRes[pi])
-		}
-		return -g.contrib, area.Sub(g.area).Add(raw)
-	}
-	gi, gj := st.groups[mv.i], st.groups[mv.j]
-	res := gi.res.Max(gj.res)
-	frames := s.searchFrames(res)
-	var contrib int64
-	if s.weights != nil {
-		merged := make([]int32, len(gi.act))
-		for ci := range merged {
-			// Compatibility guarantees at most one side is active.
-			if gi.act[ci] != 0 {
-				merged[ci] = gi.act[ci]
-			} else {
-				merged[ci] = gj.act[ci]
-			}
-		}
-		contrib = frames * s.weightedDiff(merged)
-	} else {
-		a := int64(gi.active + gj.active)
-		sq := gi.sumSq + gj.sumSq
-		contrib = frames * (a*a - sq) / 2
-	}
-	dCost = contrib - gi.contrib - gj.contrib
-	mergedArea := device.TilesToPrimitives(device.Tiles(res))
-	newArea = area.Sub(gi.area).Sub(gj.area).Add(mergedArea)
-	return dCost, newArea
 }
 
 func (s *searcher) feasible(area resource.Vector) bool {
@@ -535,10 +449,8 @@ func (s *searcher) run() (*snapshot, int) {
 
 	if !s.opts.GreedyOnly {
 		// ... and one descent per distinct first move, most promising
-		// (lowest cost increase per violation removed) first. The moves
-		// are copied into the scored buffer before the descents below
-		// recycle the shared move buffer.
-		firsts := s.appendLegalMoves(s.sc.moves[:0], base, !s.opts.NoStatic, false)
+		// (lowest cost increase per violation removed) first.
+		firsts := s.appendFirstMoves(s.sc.moves[:0], base, !s.opts.NoStatic)
 		s.sc.moves = firsts
 		scored := s.sc.scored[:0]
 		for _, mv := range firsts {
@@ -562,8 +474,10 @@ func (s *searcher) run() (*snapshot, int) {
 // each extra move family (static promotion, transfers) can steer the
 // descent onto a worse trajectory as easily as a better one, so the
 // restricted descents keep the smaller search spaces covered and the
-// recorded-state set grows monotonically with each family.
+// recorded-state set grows monotonically with each family. They share
+// one row epoch, so the transfer descents share the start groups' rows.
 func (s *searcher) descend(st *state, record func(*state)) {
+	s.sc.newEpoch()
 	statics := []bool{false}
 	if !s.opts.NoStatic {
 		statics = append(statics, true)
@@ -616,77 +530,21 @@ func (s *searcher) moduleGrouped() *state {
 // unit of budget violation removed (merging trades time for area in this
 // model; it can never reduce cost). Once feasible it applies
 // cost-improving moves — in practice static promotions — until none
-// remain. Candidates are scored by evalMove against the delta cache;
-// the state mutates in place, so one descent allocates only what its
-// applied moves create.
+// remain. Each iteration is one run of the move scan (refine_parallel.go)
+// over the searcher's shard caches; the state mutates in place, so one
+// descent allocates only what its applied moves create.
 func (s *searcher) greedy(st *state, allowStatic, allowTransfers bool, record func(*state)) {
 	s.cDescents.Inc()
 	depth := 0
 	defer func() { s.gDepth.Observe(int64(depth)) }()
 	cur := st.clone()
 	for {
-		mv, sc, ok := s.scanMoves(cur, allowStatic, allowTransfers)
+		mv, ok := s.par.scan(cur, allowStatic, allowTransfers)
 		if !ok {
 			return
 		}
-		s.applyMove(sc, cur, mv)
+		s.applyMove(cur, mv)
 		depth++
 		record(cur)
 	}
-}
-
-// scanMoves selects the best legal move from cur under the greedy
-// policy, returning it with the scratch whose delta cache evaluated it
-// (so applyMove hits). ok=false means no applicable move remains. The
-// parallel refine scan takes over when the searcher carries a parScan
-// and the state is large enough to shard — a threshold that depends
-// only on the state, never on the worker count, so the set of sharded
-// iterations (and with it every cache and counter trajectory) is
-// identical at any Workers setting.
-func (s *searcher) scanMoves(cur *state, allowStatic, allowTransfers bool) (move, *scratch, bool) {
-	if s.par != nil && parWorthwhile(cur, allowTransfers) {
-		return s.par.scan(cur, allowStatic, allowTransfers)
-	}
-	moves := s.appendLegalMoves(s.sc.moves[:0], cur, allowStatic, allowTransfers)
-	s.sc.moves = moves
-	if len(moves) == 0 {
-		return move{}, nil, false
-	}
-	s.cMoves.Add(int64(len(moves)))
-	curArea := cur.area
-	curViol := s.violation(curArea)
-	bestIdx := -1
-	var bestCost, bestViol, bestSaved int64
-	for i, mv := range moves {
-		d, area, v, ok := s.evalMove(s.sc, cur, mv, curArea, curViol)
-		if !ok {
-			s.cRejects.Inc()
-			continue
-		}
-		if curViol == 0 {
-			// Feasible: accept strict cost improvements, or
-			// cost-neutral area reductions that make room for later
-			// static promotions.
-			if d > 0 || (d == 0 && area.Total() >= curArea.Total()) {
-				s.cRejects.Inc()
-				continue
-			}
-			saved := int64(curArea.Total() - area.Total())
-			if bestIdx < 0 || d < bestCost || (d == bestCost && saved > bestSaved) {
-				bestIdx, bestCost, bestSaved = i, d, saved
-			}
-		} else {
-			saved := curViol - v
-			// Lower dCost per violation removed wins; cross-multiply
-			// to stay in integers (saved > 0 on both sides).
-			if bestIdx < 0 || d*bestSaved < bestCost*saved ||
-				(d*bestSaved == bestCost*saved && v < bestViol) {
-				bestIdx, bestCost, bestViol, bestSaved = i, d, v, saved
-			}
-		}
-	}
-	if bestIdx < 0 {
-		return move{}, nil, false
-	}
-	return moves[bestIdx], s.sc, true
 }

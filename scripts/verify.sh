@@ -5,7 +5,7 @@
 #   scripts/verify.sh all      # tiers 1-9: + vet/race, + fault determinism,
 #                              #   + oracle soak, + chaos, + multilevel,
 #                              #   + batch/async daemon-client e2e, + cluster,
-#                              #   + pr13 baseline gate
+#                              #   + pr13 and pr14 baseline gates
 #
 # Tier 1  go build + go test             — must always pass (ROADMAP gate),
 #         plus go vet + go test of the servebench module: it is a Go
@@ -59,12 +59,14 @@
 #         and the benchmark baseline gate pr9 -> pr10 (solve metrics
 #         must stay byte-identical: clustering serves results, it must
 #         not change them).
-# Tier 9  the benchmark baseline gate pr12 -> pr13: the bitset covering
-#         and mask-based move legality are identity-preserving, so every
-#         headline metric compares byte-identical. Both reports were
-#         recorded back to back on one host under `taskset -c 0` (pr12
-#         from the parent commit), so their runtimes compare without
-#         cross-host drift.
+# Tier 9  the benchmark baseline gates pr12 -> pr13 and pr13 -> pr14:
+#         the bitset covering, mask-based move legality and the single
+#         move scan are identity-preserving, so every headline metric
+#         compares byte-identical. Each pair was recorded back to back
+#         on one host under `taskset -c 0` (the first report of a pair
+#         from its parent commit; BENCH_pr14_parent.json is the pr13
+#         code re-recorded beside BENCH_pr14.json), so their runtimes
+#         compare without cross-host drift.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -125,6 +127,9 @@ if [ "$1" = "all" ]; then
 
 	echo "== tier 9: benchmark baseline gate (pr12 -> pr13) =="
 	go run ./scripts -tol 25 results/BENCH_pr12.json results/BENCH_pr13.json
+
+	echo "== tier 9: benchmark baseline gate (pr13 -> pr14) =="
+	go run ./scripts -tol 25 results/BENCH_pr14_parent.json results/BENCH_pr14.json
 fi
 
 echo "verify: OK"
