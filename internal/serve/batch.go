@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"prpart/internal/jobs"
 )
@@ -60,19 +58,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cBatches.Inc()
-	if s.isDraining() {
-		s.retryAfter(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, errors.New("serve: shutting down"))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Errorf("serve: reading batch body: %w", err))
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -104,83 +91,53 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errBulkQueueFull)
 		return
 	}
-	urlCheck := r.URL.Query().Get("check") == "1"
 
-	type member struct {
-		sp      *SolveSpec
-		timeout time.Duration
-	}
 	items := make([]BatchItem, len(batch.Requests))
-	// leaders maps each distinct key to the first member index carrying
-	// it; later members with the same key are dups and copy its outcome.
+	// reqs holds the members that actually execute: the first member
+	// carrying each distinct key, recorded in leaders. Later members
+	// with the same key are dups and copy its outcome.
+	reqs := make([]*solveReq, len(batch.Requests))
 	leaders := map[string]int{}
-	var run []int // indices that actually execute
-	members := make([]member, len(batch.Requests))
 	for i, raw := range batch.Requests {
-		sp, meta, err := DecodeRequest(raw)
+		q, err := s.parseSolve(r, raw)
 		if err != nil {
 			items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		// The member's key is computed by the same canonicalization as a
-		// single solve: request options (check via the server/URL flag,
-		// multilevel and friends via the spec) hash in identically, so a
-		// batch member and a lone POST /v1/solve for the same input share
-		// cache entries byte-for-byte.
-		key, err := sp.Key()
-		if err != nil {
-			items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
-			continue
-		}
-		items[i] = BatchItem{Key: key}
-		if first, dup := leaders[key]; dup {
+		items[i] = BatchItem{Key: q.key}
+		if _, dup := leaders[q.key]; dup {
 			s.cBatchDups.Inc()
 			items[i].Cache = "dup"
-			items[i].Status = -first - 1 // patched to the leader's outcome below
 			continue
 		}
-		leaders[key] = i
-		timeout := meta.Timeout
-		if timeout == 0 {
-			timeout = s.cfg.DefaultTimeout
-		}
-		members[i] = member{sp: sp, timeout: timeout}
-		run = append(run, i)
+		leaders[q.key] = i
+		reqs[i] = q
 	}
 
 	var wg sync.WaitGroup
-	for _, i := range run {
+	for i, q := range reqs {
+		if q == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			m := members[i]
-			wctx := r.Context()
-			if m.timeout > 0 {
-				ctx, cancel := context.WithTimeout(wctx, m.timeout)
-				defer cancel()
-				wctx = ctx
-			}
-			body, cache, status, err := s.executeMember(wctx, items[i].Key, m.sp, urlCheck)
-			items[i].Status = status
-			items[i].Cache = cache
-			if err != nil {
-				items[i].Error = err.Error()
+			out := s.serveKey(r.Context(), q, s.admitMember)
+			items[i].Status, items[i].Cache = out.status, out.cache
+			if out.err != nil {
+				items[i].Error = out.err.Error()
 			} else {
-				items[i].Result = body
+				items[i].Result = out.body
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 
-	// Patch duplicate members with their leader's outcome.
 	for i := range items {
-		if items[i].Cache != "dup" {
-			continue
+		if items[i].Cache == "dup" {
+			first := items[leaders[items[i].Key]]
+			items[i].Status, items[i].Error, items[i].Result = first.Status, first.Error, first.Result
 		}
-		first := -items[i].Status - 1
-		items[i].Status = items[first].Status
-		items[i].Error = items[first].Error
-		items[i].Result = items[first].Result
 	}
 
 	w.Header().Set("Content-Type", "application/json")
@@ -188,56 +145,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(BatchResponse{Results: items})
 }
 
-// executeMember serves one distinct batch member through the same tiers
-// as a synchronous solve — cache, store, flight coalescing — with the
-// solve itself queued on the bulk tier. Unlike handleSolve it uses
-// EnqueueWait: the member blocks (bounded by its own deadline) while
-// the bulk tier is full instead of being refused, which paces a large
-// batch through a small queue. It runs in a handler goroutine, never on
-// a scheduler worker, so waiting on the flight cannot deadlock the pool.
-func (s *Server) executeMember(wctx context.Context, key string, sp *SolveSpec, urlCheck bool) (body []byte, cache string, status int, err error) {
-	docheck := s.cfg.Check || urlCheck
-	if !urlCheck {
-		if body, tier, ok := s.lookup(wctx, key); ok {
-			return body, tier, http.StatusOK, nil
+// admitMember is the leader admission of a batch member: EnqueueWait on
+// the bulk tier, so the member blocks (bounded by its own deadline)
+// while the tier is full instead of being refused, which paces a large
+// batch through a small queue. Members run in handler goroutines, never
+// on a scheduler worker, so waiting on the flight cannot deadlock the
+// pool.
+func (s *Server) admitMember(wctx, _ context.Context, _ *solveReq, run func(context.Context)) (outcome, bool) {
+	if _, err := s.sched.EnqueueWait(wctx, jobs.Bulk, run); err != nil {
+		s.cRejected.Inc()
+		status, ferr := tierFullError(jobs.Bulk)
+		if !errors.Is(err, jobs.ErrTierFull) {
+			status, ferr = http.StatusServiceUnavailable, err
 		}
+		return outcome{status: status, err: ferr}, false
 	}
-	fkey := flightKey(key, docheck)
-	call, leader := s.flight.join(s.baseCtx, fkey)
-	if leader {
-		if _, eerr := s.sched.EnqueueWait(wctx, jobs.Bulk, func(ctx context.Context) {
-			s.runLeader(ctx, fkey, key, call, sp, docheck)
-		}); eerr != nil {
-			st, ferr := tierFullError(jobs.Bulk)
-			if !errors.Is(eerr, jobs.ErrTierFull) {
-				st, ferr = http.StatusServiceUnavailable, eerr
-			}
-			s.cRejected.Inc()
-			s.flight.finish(fkey, call, nil, st, ferr)
-			return nil, "", st, ferr
-		}
-	} else {
-		s.cCoalesced.Inc()
-	}
-	select {
-	case <-call.done:
-	case <-wctx.Done():
-		select {
-		case <-call.done:
-		default:
-			s.flight.leave(call)
-			if errors.Is(wctx.Err(), context.DeadlineExceeded) {
-				return nil, "", http.StatusGatewayTimeout, errors.New("serve: batch member deadline exceeded")
-			}
-			return nil, "", http.StatusServiceUnavailable, wctx.Err()
-		}
-	}
-	if call.err != nil {
-		return nil, "", call.status, call.err
-	}
-	cache = "miss"
-	if !leader {
-		cache = "coalesced"
-	}
-	return call.body, cache, http.StatusOK, nil
+	return outcome{}, true
 }

@@ -47,8 +47,9 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // contains only itself (it answers peer RPCs but never fetches or
 // replicates), so the peer traffic between them is exactly what A
 // initiates — which lets the test pin A's X-Cache: peer path without
-// replication warming A's cache first.
-func clusterPair(t *testing.T) (tsA, tsB *httptest.Server, oA, oB *obs.Obs) {
+// replication warming A's cache first. A non-nil solver replaces the
+// real flow on both nodes.
+func clusterPair(t *testing.T, solver serve.SolveFunc) (tsA, tsB *httptest.Server, oA, oB *obs.Obs) {
 	t.Helper()
 	lhA, lhB := &lateHandler{}, &lateHandler{}
 	tsA, tsB = httptest.NewServer(lhA), httptest.NewServer(lhB)
@@ -60,7 +61,7 @@ func clusterPair(t *testing.T) (tsA, tsB *httptest.Server, oA, oB *obs.Obs) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvB := serve.New(serve.Config{Workers: 2, Obs: oB, Cluster: clB})
+	srvB := serve.New(serve.Config{Workers: 2, Obs: oB, Cluster: clB, Solver: solver})
 	t.Cleanup(srvB.Close)
 	lhB.set(srvB.Handler())
 
@@ -71,7 +72,7 @@ func clusterPair(t *testing.T) (tsA, tsB *httptest.Server, oA, oB *obs.Obs) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA := serve.New(serve.Config{Workers: 2, Obs: oA, Cluster: clA})
+	srvA := serve.New(serve.Config{Workers: 2, Obs: oA, Cluster: clA, Solver: solver})
 	t.Cleanup(srvA.Close)
 	lhA.set(srvA.Handler())
 	return tsA, tsB, oA, oB
@@ -82,7 +83,7 @@ func clusterPair(t *testing.T) (tsA, tsB *httptest.Server, oA, oB *obs.Obs) {
 // without running its own solve, and the fill must warm A's local
 // tiers for the next request.
 func TestClusterPeerFill(t *testing.T) {
-	tsA, tsB, oA, oB := clusterPair(t)
+	tsA, tsB, oA, oB := clusterPair(t, nil)
 	body := solveBody(t, design.VideoReceiver(), `{"budget": {"clb": 6800, "bram": 64, "dsp": 150}}`)
 
 	rB, bB := post(t, tsB, body)
@@ -127,6 +128,31 @@ func TestClusterPeerFill(t *testing.T) {
 	}
 }
 
+// TestClusterJobFlightLoserReplicates: an async job that loses the
+// flight race to a /v1/solve still publishes its own solve through
+// every tier, including the push to the key's other owner, so B
+// receives one push from each solve.
+func TestClusterJobFlightLoserReplicates(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	tsA, _, _, oB := clusterPair(t, blockingSolver(release, entered, nil))
+	body := solveBody(t, design.PaperExample(), "")
+
+	single := postAsync(tsA, "/v1/solve", body)
+	<-entered // the /v1/solve leads the key inside A's solver
+	id, _ := submitJob(t, tsA, body)
+	<-entered // the job lost the flight race and solves on its own
+	close(release)
+
+	if r := <-single; r.code != 200 || r.cache != "miss" {
+		t.Fatalf("leading /v1/solve: status %d, X-Cache %q, want 200 miss", r.code, r.cache)
+	}
+	waitJobState(t, tsA, id, "done")
+	if n := oB.Snapshot().Counters["cluster.pushes_received"]; n != 2 {
+		t.Fatalf("B received %d pushes, want 2 (one per solve on A)", n)
+	}
+}
+
 // postPeer posts one raw frame to a peer endpoint. A non-empty secret
 // signs the request the way a real ring member would; an empty secret
 // leaves the auth header off entirely.
@@ -157,7 +183,7 @@ func postPeer(t *testing.T, base, path string, raw []byte, secret string) (int, 
 // solve namespace are rejected with 400 and counted as peer_bad_body,
 // and nothing is cached.
 func TestClusterPushEndpointGuards(t *testing.T) {
-	_, tsB, _, oB := clusterPair(t)
+	_, tsB, _, oB := clusterPair(t, nil)
 
 	postRaw := func(path string, raw []byte) int {
 		code, _ := postPeer(t, tsB.URL, path, raw, testPeerSecret)
@@ -210,7 +236,7 @@ func TestClusterPushEndpointGuards(t *testing.T) {
 // Without this check anything that can reach the public port could
 // poison arbitrary solve keys with attacker-chosen bytes.
 func TestClusterPeerAuthRequired(t *testing.T) {
-	_, tsB, _, oB := clusterPair(t)
+	_, tsB, _, oB := clusterPair(t, nil)
 
 	key := "sha256:" + fmt.Sprintf("%064x", 2)
 	push, err := cluster.EncodePeerBody(cluster.Body{Found: true, Verdict: 1, Key: key, Data: []byte(`{"poisoned":true}`)})
@@ -259,7 +285,7 @@ func TestClusterPeerAuthRequired(t *testing.T) {
 // test compares raw bytes: a field rename or type change — which would
 // break dashboards and the e2e harness — fails loudly here.
 func TestClusterHealthzShape(t *testing.T) {
-	tsA, tsB, _, _ := clusterPair(t)
+	tsA, tsB, _, _ := clusterPair(t, nil)
 
 	resp, err := http.Get(tsA.URL + "/healthz")
 	if err != nil {

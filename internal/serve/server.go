@@ -336,10 +336,10 @@ func tierFullError(tier jobs.Tier) (int, error) {
 	return http.StatusTooManyRequests, errQueueFull
 }
 
-// handleSolve is POST /v1/solve: decode, consult the cache, coalesce,
-// queue, solve, respond. The response body of a 200 is byte-identical
-// to `prpart -json` on the same input; X-Solve-Key carries the
-// content-addressed key and X-Cache reports hit, miss or coalesced.
+// handleSolve is POST /v1/solve: decode, walk the ladder, respond. The
+// response body of a 200 is byte-identical to `prpart -json` on the
+// same input; X-Solve-Key carries the content-addressed key and X-Cache
+// reports how the key was served (hit, store, peer, miss or coalesced).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -347,10 +347,38 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cRequests.Inc()
+	raw, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	q, err := s.parseSolve(r, raw)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	w.Header().Set("X-Solve-Key", q.key)
+	out := s.serveKey(r.Context(), q, s.admitSolve)
+	if out.err != nil {
+		if out.retry > 0 {
+			s.retryAfter(w, out.retry)
+		}
+		writeError(w, out.status, out.err)
+		return
+	}
+	if out.checked {
+		w.Header().Set("X-Check", "pass")
+	}
+	s.respond(w, out.cache, out.body)
+}
+
+// readBody is the intake shared by every solve surface: the drain gate,
+// then the body read bounded by MaxBodyBytes. On failure it has written
+// the error response and returns false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if s.isDraining() {
 		s.retryAfter(w, time.Second)
 		writeError(w, http.StatusServiceUnavailable, errors.New("serve: shutting down"))
-		return
+		return nil, false
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -360,163 +388,196 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeError(w, status, fmt.Errorf("serve: reading body: %w", err))
-		return
+		return nil, false
 	}
-	sp, meta, err := DecodeRequest(body)
+	return body, true
+}
+
+// solveReq is one decoded solve request, whichever surface carried it:
+// a /v1/solve body, one batch member or an async job.
+type solveReq struct {
+	sp      *SolveSpec
+	key     string
+	timeout time.Duration // 0 = no deadline
+	bulk    bool
+	// fresh skips the read tiers: the debug query ?check=1 verifies this
+	// request's result with the independent oracle even when the
+	// server-wide Check is off, so the verification must actually run.
+	// The verified body is still cached for everyone else (the bytes
+	// are identical either way).
+	fresh bool
+	check bool // verify the solve with the oracle (server-wide or ?check=1)
+}
+
+// parseSolve decodes and keys one solve request body. Every failure is
+// the client's (400). The key is computed by the same canonicalization
+// on every surface, so a batch member, an async job and a lone
+// /v1/solve for the same input share cache entries byte-for-byte.
+func (s *Server) parseSolve(r *http.Request, raw []byte) (*solveReq, error) {
+	sp, meta, err := DecodeRequest(raw)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	key, err := sp.Key()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	w.Header().Set("X-Solve-Key", key)
-	// The debug query ?check=1 verifies this request's result with the
-	// independent oracle even when the server-wide Check is off. It
-	// bypasses the cache read so the verification actually runs; the
-	// verified body is still cached for everyone else (the bytes are
-	// identical either way).
-	urlCheck := r.URL.Query().Get("check") == "1"
-	docheck := s.cfg.Check || urlCheck
-	if !urlCheck {
-		if body, tier, ok := s.lookup(r.Context(), key); ok {
-			s.respond(w, tier, body)
-			return
-		}
-	}
-
 	timeout := meta.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	wctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		wctx, cancel = context.WithTimeout(wctx, timeout)
-		defer cancel()
-	}
+	fresh := r.URL.Query().Get("check") == "1"
+	return &solveReq{sp: sp, key: key, timeout: timeout, bulk: meta.Bulk, fresh: fresh, check: s.cfg.Check || fresh}, nil
+}
 
-	tier := tierOf(meta.Bulk)
-	// Checked and unchecked requests must not coalesce onto each other:
-	// a follower asking for verification would otherwise ride on a
-	// leader that skipped it. The flight key is namespaced; the cache
-	// key is not (the result bytes are the same).
-	fkey := flightKey(key, docheck)
+// withDeadline bounds ctx by the request's timeout, if it has one.
+func (q *solveReq) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if q.timeout > 0 {
+		return context.WithTimeout(ctx, q.timeout)
+	}
+	return ctx, func() {}
+}
+
+// flightKey namespaces the coalescing key by the check flag. Checked
+// and unchecked requests must not coalesce onto each other: a follower
+// asking for verification would otherwise ride on a leader that skipped
+// it. The cache key is not namespaced (the result bytes are the same).
+func (q *solveReq) flightKey() string {
+	if q.check {
+		return q.key + "+check"
+	}
+	return q.key
+}
+
+// outcome is how one request's key was served.
+type outcome struct {
+	body    []byte
+	cache   string // X-Cache label of a 200
+	checked bool   // the body was verified by the oracle for this request
+	status  int
+	err     error
+	// retry > 0 marks a refusal that carries a Retry-After sized to it.
+	retry time.Duration
+}
+
+// admitFunc queues a flight leader's solve, run, on the scheduler. wctx
+// is the leader's request context (with its deadline), callCtx the
+// flight's own. A refusal returns the outcome every waiter on the key
+// receives and false.
+type admitFunc func(wctx, callCtx context.Context, q *solveReq, run func(context.Context)) (outcome, bool)
+
+// serveKey walks the ladder for one request: the read tiers (cache,
+// store, peer) unless the request is fresh, then the key's flight. A
+// leader is admitted by admit, and its refusal is published to every
+// follower already joined on the key: followers share their leader's
+// admission fate (see DESIGN.md §8). Every waiter then waits for the
+// flight under its own deadline, which starts once the read tiers have
+// missed.
+func (s *Server) serveKey(ctx context.Context, q *solveReq, admit admitFunc) outcome {
+	if !q.fresh {
+		if body, tier, ok := s.lookup(ctx, q.key); ok {
+			return outcome{body: body, cache: tier, status: http.StatusOK}
+		}
+	}
+	wctx, cancel := q.withDeadline(ctx)
+	defer cancel()
+	fkey := q.flightKey()
 	call, leader := s.flight.join(s.baseCtx, fkey)
 	if leader {
-		// Deadline-aware admission: refuse work that cannot possibly
-		// meet its deadline instead of letting it queue, burn a slot and
-		// time out anyway. Retry-After carries the wait estimate.
-		if dl, ok := wctx.Deadline(); ok {
-			if est := s.sched.EstimateWait(tier); est > 0 && est > time.Until(dl) {
-				s.cRejectedDeadline.Inc()
-				s.flight.finish(fkey, call, nil, http.StatusTooManyRequests, errDeadlineTooTight)
-				s.retryAfter(w, est)
-				writeError(w, http.StatusTooManyRequests, errDeadlineTooTight)
-				return
-			}
-		}
-		// The solve runs under the flight call's context — detached from
-		// this request, alive while any waiter remains — so the scheduler
-		// ticket outlives a leader that times out while followers wait.
-		// An interactive enqueue that finds every worker stuck in bulk
-		// sheds the oldest bulk solve inside the scheduler.
-		_, err := s.sched.Enqueue(call.ctx, tier, func(ctx context.Context) {
-			s.runLeader(ctx, fkey, key, call, sp, docheck)
-		})
-		if err != nil {
-			// Coalesced waiters share the leader's admission fate: the
-			// refusal below is published to every follower already joined
-			// on this key (see DESIGN.md §8, backpressure semantics).
-			s.cRejected.Inc()
-			status, ferr := tierFullError(tier)
-			s.flight.finish(fkey, call, nil, status, ferr)
-			s.retryAfter(w, s.sched.EstimateWait(tier))
-			writeError(w, status, ferr)
-			return
+		run := func(ctx context.Context) { s.runLeader(ctx, fkey, call, q) }
+		if out, ok := admit(wctx, call.ctx, q, run); !ok {
+			s.flight.finish(fkey, call, nil, out.status, out.err)
+			return out
 		}
 	} else {
 		s.cCoalesced.Inc()
 	}
 
-	s.deliver(w, wctx, fkey, call, leader, docheck)
-}
-
-// flightKey namespaces the coalescing key by the check flag.
-func flightKey(key string, docheck bool) string {
-	if docheck {
-		return key + "+check"
-	}
-	return key
-}
-
-// runLeader is the scheduler-side body of a synchronous solve: run the
-// search, classify shed, populate the cache tiers and publish to every
-// coalesced waiter.
-func (s *Server) runLeader(ctx context.Context, fkey, key string, call *flightCall, sp *SolveSpec, docheck bool) {
-	body, status, err := s.solveGuarded(ctx, key, sp, docheck)
-	if err != nil && errors.Is(context.Cause(ctx), jobs.ErrShed) {
-		status, err = http.StatusServiceUnavailable, errShedForLatency
-		s.cBulkShed.Inc()
-	}
-	if err == nil {
-		s.cache.Put(key, body)
-		s.persist(key, body, docheck)
-		// Replicate before the flight publishes: by the time any client
-		// holds the response, the key's owners hold the bytes too, which
-		// keeps seeded request sequences producing identical cluster
-		// counters run over run.
-		s.replicate(key, body, docheck)
-	}
-	s.flight.finish(fkey, call, body, status, err)
-}
-
-// deliver waits for the flight call to finish (or the request context
-// to die) and writes the outcome.
-func (s *Server) deliver(w http.ResponseWriter, wctx context.Context, fkey string, call *flightCall, leader, docheck bool) {
-	write := func() {
-		if call.err != nil {
-			if call.status == http.StatusTooManyRequests || errors.Is(call.err, errShedForLatency) {
-				s.retryAfter(w, time.Second)
-			}
-			s.cErrors.Inc()
-			writeError(w, call.status, call.err)
-			return
-		}
-		cache := "miss"
-		if !leader {
-			cache = "coalesced"
-		}
-		if docheck {
-			w.Header().Set("X-Check", "pass")
-		}
-		s.respond(w, cache, call.body)
-	}
-
 	select {
 	case <-call.done:
-		write()
 	case <-wctx.Done():
 		// select picks randomly when both channels are ready, so a solve
 		// that completed right at the deadline could land here. Prefer
 		// the (now cached) result over a 504.
 		select {
 		case <-call.done:
-			write()
-			return
 		default:
+			s.flight.leave(call)
+			s.cErrors.Inc()
+			if errors.Is(wctx.Err(), context.DeadlineExceeded) {
+				return outcome{status: http.StatusGatewayTimeout, err: errors.New("serve: solve deadline exceeded")}
+			}
+			// Client went away; the status is never seen but keeps logs honest.
+			return outcome{status: http.StatusServiceUnavailable, err: wctx.Err()}
 		}
-		s.flight.leave(call)
-		s.cErrors.Inc()
-		if errors.Is(wctx.Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: solve deadline exceeded"))
-			return
-		}
-		// Client went away; the status is never seen but keeps logs honest.
-		writeError(w, http.StatusServiceUnavailable, wctx.Err())
 	}
+	if call.err != nil {
+		s.cErrors.Inc()
+		out := outcome{status: call.status, err: call.err}
+		if call.status == http.StatusTooManyRequests || errors.Is(call.err, errShedForLatency) {
+			out.retry = time.Second
+		}
+		return out
+	}
+	out := outcome{body: call.body, cache: "miss", checked: q.check, status: http.StatusOK}
+	if !leader {
+		out.cache = "coalesced"
+	}
+	return out
+}
+
+// admitSolve is the leader admission of /v1/solve. It is deadline-aware:
+// work that cannot possibly meet its deadline is refused instead of
+// queueing, burning a slot and timing out anyway, with Retry-After
+// carrying the wait estimate. The solve runs under the flight's context
+// (detached from this request, alive while any waiter remains), so the
+// scheduler ticket outlives a leader that times out while followers
+// wait. An interactive enqueue that finds every worker stuck in bulk
+// sheds the oldest bulk solve inside the scheduler.
+func (s *Server) admitSolve(wctx, callCtx context.Context, q *solveReq, run func(context.Context)) (outcome, bool) {
+	tier := tierOf(q.bulk)
+	if dl, ok := wctx.Deadline(); ok {
+		if est := s.sched.EstimateWait(tier); est > 0 && est > time.Until(dl) {
+			s.cRejectedDeadline.Inc()
+			return outcome{status: http.StatusTooManyRequests, err: errDeadlineTooTight, retry: est}, false
+		}
+	}
+	if _, err := s.sched.Enqueue(callCtx, tier, run); err != nil {
+		s.cRejected.Inc()
+		status, ferr := tierFullError(tier)
+		// The jitter floors any estimate under a second to one second.
+		return outcome{status: status, err: ferr, retry: max(s.sched.EstimateWait(tier), time.Second)}, false
+	}
+	return outcome{}, true
+}
+
+// runLeader is the scheduler-side body of a flight leader: solve, store
+// and publish to every coalesced waiter.
+func (s *Server) runLeader(ctx context.Context, fkey string, call *flightCall, q *solveReq) {
+	body, status, err := s.solveAndStore(ctx, q)
+	s.flight.finish(fkey, call, body, status, err)
+}
+
+// solveAndStore runs one solve, classifies a shed as 503, and writes a
+// success through every result tier: the cache, the store and the
+// key's other ring owners.
+func (s *Server) solveAndStore(ctx context.Context, q *solveReq) ([]byte, int, error) {
+	body, status, err := s.solveGuarded(ctx, q.key, q.sp, q.check)
+	if err != nil {
+		if errors.Is(context.Cause(ctx), jobs.ErrShed) {
+			s.cBulkShed.Inc()
+			return nil, http.StatusServiceUnavailable, errShedForLatency
+		}
+		return nil, status, err
+	}
+	s.cache.Put(q.key, body)
+	s.persist(q.key, body, q.check)
+	// Replicate before the result is published: by the time any client
+	// holds the response, the key's owners hold the bytes too, which
+	// keeps seeded request sequences producing identical cluster
+	// counters run over run.
+	s.replicate(q.key, body, q.check)
+	return body, http.StatusOK, nil
 }
 
 func (s *Server) respond(w http.ResponseWriter, cache string, body []byte) {
