@@ -304,8 +304,8 @@ func (e *env) benchJSON(rev, path string) error {
 	for k, v := range snap.Gauges {
 		r.Counters[k] = v
 	}
-	for k, ts := range snap.Timers {
-		r.RuntimeNs[k+"_ns"] = ts.Total.Nanoseconds()
+	for k, h := range snap.Histograms {
+		r.RuntimeNs[k+"_ns"] = h.Sum.Nanoseconds()
 	}
 
 	f, err := os.Create(path)

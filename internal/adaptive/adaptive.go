@@ -60,14 +60,14 @@ type mgrObs struct {
 	switches, loads, frames      *obs.Counter
 	retries, scrubs, fallbacks   *obs.Counter
 	prefetchLoads, prefetchHits  *obs.Counter
-	reconfig, prefetch, recovery *obs.Timer
+	reconfig, prefetch, recovery *obs.Histogram
 }
 
 // AttachObs mirrors the manager's runtime activity into the registry:
 // counters adaptive.switches, adaptive.region_loads, adaptive.frames,
 // adaptive.retries, adaptive.scrubs, adaptive.fallbacks,
 // adaptive.prefetch_loads and adaptive.prefetch_hits (regions a switch
-// found already loaded thanks to an earlier Prefetch); timers
+// found already loaded thanks to an earlier Prefetch); duration histograms
 // adaptive.reconfig, adaptive.prefetch and adaptive.recovery (time spent
 // on retries and scrubs). One "switch" trace event is emitted per
 // completed SwitchTo. Nil detaches.
@@ -88,9 +88,9 @@ func (m *Manager) AttachObs(o *obs.Obs) {
 		fallbacks:     o.Counter("adaptive.fallbacks"),
 		prefetchLoads: o.Counter("adaptive.prefetch_loads"),
 		prefetchHits:  o.Counter("adaptive.prefetch_hits"),
-		reconfig:      o.Timer("adaptive.reconfig"),
-		prefetch:      o.Timer("adaptive.prefetch"),
-		recovery:      o.Timer("adaptive.recovery"),
+		reconfig:      o.Histogram("adaptive.reconfig"),
+		prefetch:      o.Histogram("adaptive.prefetch"),
+		recovery:      o.Histogram("adaptive.recovery"),
 	}
 }
 

@@ -79,14 +79,14 @@ type Solver func(d *design.Design, opts partition.Options) (*partition.Result, e
 // sweep catalog with the standard engine. When opts.Obs is set it
 // maintains counters experiments.designs, experiments.upsized,
 // experiments.fallback_single and experiments.smaller_than_modular, and
-// timer experiments.evaluate.
+// duration histogram experiments.evaluate.
 func EvaluateDesign(index int, d *design.Design, opts partition.Options) (*Outcome, error) {
 	return EvaluateDesignSolver(index, d, opts, partition.Solve)
 }
 
 // EvaluateDesignSolver is EvaluateDesign with an injected engine.
 func EvaluateDesignSolver(index int, d *design.Design, opts partition.Options, solve Solver) (*Outcome, error) {
-	stopEval := opts.Obs.Timer("experiments.evaluate").Time()
+	stopEval := opts.Obs.Histogram("experiments.evaluate").Time()
 	defer stopEval()
 	list := device.SweepCatalog()
 	out := &Outcome{Index: index, Name: d.Name}
@@ -159,7 +159,7 @@ func Sweep(designs []*design.Design, opts partition.Options, workers int) ([]*Ou
 // SweepSolver is Sweep with an injected engine (the -multilevel sweep
 // hands multilevel.Solver here).
 func SweepSolver(designs []*design.Design, opts partition.Options, workers int, solve Solver) ([]*Outcome, error) {
-	stopSweep := opts.Obs.Timer("experiments.sweep").Time()
+	stopSweep := opts.Obs.Histogram("experiments.sweep").Time()
 	defer stopSweep()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -57,13 +57,13 @@ type portObs struct {
 	o                            *obs.Obs
 	loads, bytes, frames, failed *obs.Counter
 	readbacks, verifyErrs        *obs.Counter
-	busy, stall, fault, recovery *obs.Timer
+	busy, stall, fault, recovery *obs.Histogram
 }
 
 // AttachObs makes the port mirror its activity into the given
 // observability registry and emit one trace event per load outcome.
 // Counters: icap.loads, icap.bytes, icap.frames, icap.failed_loads;
-// timers: icap.busy, icap.stall (storage-bound time beyond the pure ICAP
+// duration histograms: icap.busy, icap.stall (storage-bound time beyond the pure ICAP
 // transfer), icap.fault (time lost to failed loads). Nil detaches.
 func (p *Port) AttachObs(o *obs.Obs) {
 	if o == nil {
@@ -78,10 +78,10 @@ func (p *Port) AttachObs(o *obs.Obs) {
 		failed:     o.Counter("icap.failed_loads"),
 		readbacks:  o.Counter("icap.readbacks"),
 		verifyErrs: o.Counter("icap.verify_errors"),
-		busy:       o.Timer("icap.busy"),
-		stall:      o.Timer("icap.stall"),
-		fault:      o.Timer("icap.fault"),
-		recovery:   o.Timer("icap.recovery"),
+		busy:       o.Histogram("icap.busy"),
+		stall:      o.Histogram("icap.stall"),
+		fault:      o.Histogram("icap.fault"),
+		recovery:   o.Histogram("icap.recovery"),
 	}
 }
 

@@ -177,7 +177,7 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 	}
 
 	// Coarsen.
-	stopCoarsen := ob.Timer("multilevel.phase.coarsen").Time()
+	stopCoarsen := ob.Histogram("multilevel.phase.coarsen").Time()
 	levels := coarsen(d, m, o.Partition.Budget, o.Seed, o.coarseNodes(), o.maxConfigNodes())
 	stopCoarsen()
 	st := Stats{Levels: len(levels), ChainTotal: -1}
@@ -201,7 +201,7 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 	// feasibility on the way down.
 	top := levels[len(levels)-1]
 	g := singletons(len(top.nodes))
-	stopSolve := ob.Timer("multilevel.phase.coarse_solve").Time()
+	stopSolve := ob.Histogram("multilevel.phase.coarse_solve").Time()
 	cd, err := coarseDesign(d, top)
 	if err == nil {
 		var cres *partition.Result
@@ -220,9 +220,9 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 	// level's refinement inherits the partition worker count: its move
 	// scan shards across up to that many workers (see
 	// partition/refine_parallel.go). The gauge records the resolved
-	// count; per-level timers attribute the wall-clock win per level in
+	// count; per-level histograms attribute the wall-clock win per level in
 	// prbench traces.
-	stopRefine := ob.Timer("multilevel.phase.refine").Time()
+	stopRefine := ob.Histogram("multilevel.phase.refine").Time()
 	ob.Gauge("multilevel.refine.workers").Observe(int64(partition.EffectiveRefineWorkers(o.Partition.Workers)))
 	var chain *partition.Result
 	for l := len(levels) - 1; l >= 0; l-- {
@@ -230,7 +230,7 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 			stopRefine()
 			return nil, fmt.Errorf("multilevel: cancelled: %w", err)
 		}
-		stopLevel := ob.Timer(fmt.Sprintf("multilevel.refine_parallel.level%02d", l)).Time()
+		stopLevel := ob.Histogram(fmt.Sprintf("multilevel.refine_parallel.level%02d", l)).Time()
 		out, err := partition.RefineContext(ctx, d, warmStart(levels[l], g), o.Partition)
 		stopLevel()
 		if err != nil {
@@ -258,7 +258,7 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 	if !o.NoPolish && enumerable(d, m) {
 		st.PolishRan = true
 		ob.Counter("multilevel.polish_runs").Inc()
-		stopPolish := ob.Timer("multilevel.phase.polish").Time()
+		stopPolish := ob.Histogram("multilevel.phase.polish").Time()
 		polish, polishErr = partition.SolveContext(ctx, d, o.Partition)
 		stopPolish()
 		if polishErr != nil && ctx.Err() != nil {

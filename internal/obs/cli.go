@@ -13,7 +13,7 @@ import (
 //
 //	-trace file.jsonl   stream structured events to a JSONL file
 //	-pprof file.pprof   write a CPU profile for the run
-//	-metrics            dump all counters/timers at exit
+//	-metrics            dump every instrument at exit
 type Flags struct {
 	Trace   string
 	Pprof   string
@@ -25,7 +25,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Trace, "trace", "", "write structured trace events to this JSONL file")
 	fs.StringVar(&f.Pprof, "pprof", "", "write a CPU profile to this file")
-	fs.BoolVar(&f.Metrics, "metrics", false, "dump observability counters and timers at exit")
+	fs.BoolVar(&f.Metrics, "metrics", false, "dump observability instruments at exit")
 	return f
 }
 

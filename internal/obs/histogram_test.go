@@ -73,7 +73,7 @@ func TestHistogramRegistryAndFlat(t *testing.T) {
 		t.Errorf("snapshot histogram = %+v (present %v)", st, ok)
 	}
 	flat := snap.Flat()
-	if flat["jobs.wait_count"] != 2 || flat["jobs.wait_sum_ns"] != int64(8*time.Millisecond) {
+	if flat["jobs.wait_count"] != 2 || flat["jobs.wait_ns"] != int64(8*time.Millisecond) {
 		t.Errorf("flat histogram entries wrong: %v", flat)
 	}
 	if flat["jobs.wait_p99_ns"] != int64(5*time.Millisecond) {

@@ -1,11 +1,12 @@
 // Package obs is the repo's zero-dependency observability layer: typed
-// counters, max-gauges and timers behind a named registry, plus a
-// structured event tracer (ring buffer with an optional JSONL sink).
+// counters, max-gauges, up/down levels and duration histograms behind a
+// named registry, plus a structured event tracer (ring buffer with an
+// optional JSONL sink).
 //
 // Instrumentation is strictly passive — it never influences what the
 // search or the runtime simulator computes — and is near-free when
 // disabled: every instrument is nil-safe, so code holds a possibly-nil
-// *Counter/*Timer resolved once up front and the disabled path is a
+// *Counter/*Histogram resolved once up front and the disabled path is a
 // single nil check per operation (no map lookup, no clock read, no
 // allocation). All instruments are safe for concurrent use and counters
 // only ever move forward, so observed values are monotonic even while a
@@ -76,7 +77,10 @@ func (g *Gauge) Value() int64 {
 // Level tracks a quantity that moves both ways — queue depth, in-flight
 // requests — recording the current value and its maximum watermark. The
 // nil Level is valid and ignores all updates.
-type Level struct{ cur, max atomic.Int64 }
+type Level struct {
+	cur atomic.Int64
+	max Gauge
+}
 
 // Add moves the level by delta (negative to decrease) and returns the
 // new current value. The watermark follows increases.
@@ -86,12 +90,7 @@ func (l *Level) Add(delta int64) int64 {
 	}
 	v := l.cur.Add(delta)
 	if delta > 0 {
-		for {
-			m := l.max.Load()
-			if v <= m || l.max.CompareAndSwap(m, v) {
-				break
-			}
-		}
+		l.max.Observe(v)
 	}
 	return v
 }
@@ -115,54 +114,7 @@ func (l *Level) Max() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.max.Load()
-}
-
-// Timer accumulates durations. The nil Timer is valid, ignores all
-// updates, and — through Time — avoids even reading the clock.
-type Timer struct{ ns, n atomic.Int64 }
-
-// Observe adds one measured duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	if d > 0 {
-		t.ns.Add(int64(d))
-	}
-	t.n.Add(1)
-}
-
-var nopStop = func() {}
-
-// Time starts a measurement and returns the function that stops it:
-//
-//	defer tm.Time()()
-//
-// On the nil Timer no clock is read and the returned stop is a shared
-// no-op, keeping the disabled path allocation-free.
-func (t *Timer) Time() (stop func()) {
-	if t == nil {
-		return nopStop
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Total returns the accumulated duration (0 for the nil Timer).
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
-}
-
-// Count returns the number of observations (0 for the nil Timer).
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.n.Load()
+	return l.max.Value()
 }
 
 // histogramBounds are the shared duration bucket upper bounds (a 1-2-5
@@ -183,7 +135,8 @@ const numHistogramBounds = 15
 // buckets (histogramBounds plus an overflow bucket), tracking count and
 // sum exactly. Quantiles are read back as the upper bound of the bucket
 // the quantile falls in — coarse, but monotone and allocation-free. The
-// nil Histogram is valid and ignores all updates.
+// nil Histogram is valid, ignores all updates, and — through Time —
+// avoids even reading the clock.
 type Histogram struct {
 	counts [numHistogramBounds + 1]atomic.Int64
 	sum    atomic.Int64
@@ -205,6 +158,22 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
 	h.n.Add(1)
+}
+
+var nopStop = func() {}
+
+// Time starts a measurement and returns the function that stops it:
+//
+//	defer h.Time()()
+//
+// On the nil Histogram no clock is read and the returned stop is a
+// shared no-op, keeping the disabled path allocation-free.
+func (h *Histogram) Time() (stop func()) {
+	if h == nil {
+		return nopStop
+	}
+	start := time.Now()
+	return func() { h.Observe(time.Since(start)) }
 }
 
 // Count returns the number of observations (0 for the nil Histogram).
@@ -262,7 +231,6 @@ type Obs struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	levels     map[string]*Level
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 	tracer     *Tracer
 }
@@ -273,7 +241,6 @@ func New() *Obs {
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		levels:     map[string]*Level{},
-		timers:     map[string]*Timer{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -324,21 +291,6 @@ func (o *Obs) Level(name string) *Level {
 	return l
 }
 
-// Timer returns the named timer, creating it on first use.
-func (o *Obs) Timer(name string) *Timer {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	t, ok := o.timers[name]
-	if !ok {
-		t = &Timer{}
-		o.timers[name] = t
-	}
-	return t
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (o *Obs) Histogram(name string) *Histogram {
 	if o == nil {
@@ -387,14 +339,7 @@ type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
 	Levels     map[string]LevelStat
-	Timers     map[string]TimerStat
 	Histograms map[string]HistogramStat
-}
-
-// TimerStat is one timer's accumulated state.
-type TimerStat struct {
-	Total time.Duration
-	Count int64
 }
 
 // LevelStat is one level's current value and watermark.
@@ -418,7 +363,6 @@ func (o *Obs) Snapshot() Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
 		Levels:     map[string]LevelStat{},
-		Timers:     map[string]TimerStat{},
 		Histograms: map[string]HistogramStat{},
 	}
 	if o == nil {
@@ -435,9 +379,6 @@ func (o *Obs) Snapshot() Snapshot {
 	for name, l := range o.levels {
 		s.Levels[name] = LevelStat{Current: l.Value(), Max: l.Max()}
 	}
-	for name, t := range o.timers {
-		s.Timers[name] = TimerStat{Total: t.Total(), Count: t.Count()}
-	}
 	for name, h := range o.histograms {
 		s.Histograms[name] = HistogramStat{
 			Count: h.Count(), Sum: h.Sum(),
@@ -448,12 +389,12 @@ func (o *Obs) Snapshot() Snapshot {
 }
 
 // Flat returns every instrument as name → integer value: counters and
-// gauges verbatim, levels as two entries (<name> and <name>_max), timers
-// as two entries (<name>_ns and <name>_count), histograms as four
-// (<name>_count, <name>_sum_ns, <name>_p50_ns, <name>_p99_ns). This is
-// the shape the bench JSON and the -metrics dump share.
+// gauges verbatim, levels as two entries (<name> and <name>_max),
+// histograms as four (<name>_ns holding the sum, <name>_count,
+// <name>_p50_ns and <name>_p99_ns). This is the shape the bench JSON and
+// the -metrics dump share.
 func (s Snapshot) Flat() map[string]int64 {
-	out := make(map[string]int64, len(s.Counters)+len(s.Gauges)+2*len(s.Levels)+2*len(s.Timers))
+	out := make(map[string]int64, len(s.Counters)+len(s.Gauges)+2*len(s.Levels)+4*len(s.Histograms))
 	for name, v := range s.Counters {
 		out[name] = v
 	}
@@ -464,13 +405,9 @@ func (s Snapshot) Flat() map[string]int64 {
 		out[name] = l.Current
 		out[name+"_max"] = l.Max
 	}
-	for name, t := range s.Timers {
-		out[name+"_ns"] = int64(t.Total)
-		out[name+"_count"] = t.Count
-	}
 	for name, h := range s.Histograms {
+		out[name+"_ns"] = int64(h.Sum)
 		out[name+"_count"] = h.Count
-		out[name+"_sum_ns"] = int64(h.Sum)
 		out[name+"_p50_ns"] = int64(h.P50)
 		out[name+"_p99_ns"] = int64(h.P99)
 	}

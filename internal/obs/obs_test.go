@@ -16,7 +16,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	c := o.Counter("x")
 	g := o.Gauge("x")
 	l := o.Level("x")
-	tm := o.Timer("x")
+	tm := o.Histogram("x")
 	if c != nil || g != nil || l != nil || tm != nil {
 		t.Fatal("nil Obs must hand out nil instruments")
 	}
@@ -33,11 +33,11 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	o.Emit("scope", "name", Int("k", 1))
 	o.SetTracer(NewTracer(4))
 	if c.Value() != 0 || g.Value() != 0 || l.Value() != 0 || l.Max() != 0 ||
-		tm.Total() != 0 || tm.Count() != 0 {
+		tm.Sum() != 0 || tm.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	snap := o.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Levels)+len(snap.Timers) != 0 {
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Levels)+len(snap.Histograms) != 0 {
 		t.Fatal("nil Obs snapshot must be empty")
 	}
 	var tr *Tracer
@@ -47,7 +47,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 }
 
-func TestCountersGaugesTimers(t *testing.T) {
+func TestCountersGaugesHistograms(t *testing.T) {
 	o := New()
 	c := o.Counter("hits")
 	c.Inc()
@@ -66,11 +66,11 @@ func TestCountersGaugesTimers(t *testing.T) {
 	if got := g.Value(); got != 9 {
 		t.Fatalf("gauge = %d, want max 9", got)
 	}
-	tm := o.Timer("phase")
+	tm := o.Histogram("phase")
 	tm.Observe(2 * time.Millisecond)
 	tm.Observe(3 * time.Millisecond)
-	if tm.Total() != 5*time.Millisecond || tm.Count() != 2 {
-		t.Fatalf("timer = (%v, %d), want (5ms, 2)", tm.Total(), tm.Count())
+	if tm.Sum() != 5*time.Millisecond || tm.Count() != 2 {
+		t.Fatalf("histogram = (%v, %d), want (5ms, 2)", tm.Sum(), tm.Count())
 	}
 
 	snap := o.Snapshot()
@@ -79,7 +79,7 @@ func TestCountersGaugesTimers(t *testing.T) {
 	}
 	flat := snap.Flat()
 	if flat["phase_ns"] != int64(5*time.Millisecond) || flat["phase_count"] != 2 {
-		t.Fatalf("flat timer entries wrong: %v", flat)
+		t.Fatalf("flat histogram entries wrong: %v", flat)
 	}
 
 	var b strings.Builder

@@ -141,7 +141,7 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 		}
 	}
 
-	stop := opts.Obs.Timer("partition.phase.refine").Time()
+	stop := opts.Obs.Histogram("partition.phase.refine").Time()
 	defer stop()
 
 	m := connmat.New(d)

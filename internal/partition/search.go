@@ -65,7 +65,7 @@ type Options struct {
 	// partitions first) — ablation A5, showing the value of the paper's
 	// ascending ordering.
 	CoverDescending bool
-	// Obs, when non-nil, receives the search's counters, phase timers and
+	// Obs, when non-nil, receives the search's counters, phase histograms and
 	// trace events (see internal/obs). Instrumentation is passive: it
 	// never changes which scheme the search returns, and the nil default
 	// costs one predictable branch per touch point.
@@ -208,8 +208,8 @@ func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, er
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	stopSearch := opts.Obs.Timer("partition.phase.search").Time()
-	busy := opts.Obs.Timer("partition.worker_busy")
+	stopSearch := opts.Obs.Histogram("partition.phase.search").Time()
+	busy := opts.Obs.Histogram("partition.worker_busy")
 	// runSet searches one candidate set with a reusable per-worker
 	// scratch; the searcher itself is cheap, the scratch holds the
 	// buffers and caches worth keeping warm across sets.
@@ -284,7 +284,7 @@ func candidateSets(d *design.Design, opts Options) (*connmat.Matrix, []*cover.Ca
 			}
 		}
 	}
-	stopCluster := opts.Obs.Timer("partition.phase.cluster").Time()
+	stopCluster := opts.Obs.Histogram("partition.phase.cluster").Time()
 	defer stopCluster()
 	m := connmat.New(d)
 

@@ -135,7 +135,7 @@ type Server struct {
 	cPeerServes, cFetchServed, cFetchMissed             *obs.Counter
 	cPushesReceived                                     *obs.Counter
 	lQueued, lInflight                                  *obs.Level
-	tSolve                                              *obs.Timer
+	hSolve                                              *obs.Histogram
 }
 
 // New builds a Server from cfg, applying defaults.
@@ -199,7 +199,7 @@ func New(cfg Config) *Server {
 		cPushesReceived:   cfg.Obs.Counter("cluster.pushes_received"),
 		lQueued:           cfg.Obs.Level("serve.queue_depth"),
 		lInflight:         cfg.Obs.Level("serve.inflight"),
-		tSolve:            cfg.Obs.Timer("serve.solve"),
+		hSolve:            cfg.Obs.Histogram("serve.solve"),
 	}
 	s.cache.SetMaxBody(cfg.CacheMaxBody)
 	if s.solver == nil {
@@ -628,7 +628,7 @@ func (s *Server) solve(ctx context.Context, key string, sp *SolveSpec, docheck b
 	s.lInflight.Inc()
 	defer s.lInflight.Dec()
 	s.cSolves.Inc()
-	stop := s.tSolve.Time()
+	stop := s.hSolve.Time()
 	defer stop()
 	s.obs.Emit("serve", "solve.start", obs.Str("key", key), obs.Str("design", sp.Design.Name))
 

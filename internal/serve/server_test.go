@@ -95,8 +95,8 @@ func TestSolveCacheHit(t *testing.T) {
 	if snap.Counters["serve.solves"] != 1 {
 		t.Errorf("solves = %d, want 1", snap.Counters["serve.solves"])
 	}
-	if snap.Timers["serve.solve"].Count != 1 {
-		t.Errorf("solve timer count = %d, want 1", snap.Timers["serve.solve"].Count)
+	if snap.Histograms["serve.solve"].Count != 1 {
+		t.Errorf("solve histogram count = %d, want 1", snap.Histograms["serve.solve"].Count)
 	}
 }
 
