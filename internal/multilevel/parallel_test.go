@@ -3,6 +3,7 @@ package multilevel
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 
 // diffCounters reports every counter whose value differs between two
 // snapshots, empty when they agree. Only counters are compared: gauges
-// (worker counts) and timers (wall clock) legitimately vary with the
+// (worker counts) and duration histograms (wall clock) legitimately vary with the
 // worker setting, counters must not.
 func diffCounters(a, b map[string]int64) string {
 	names := map[string]bool{}
@@ -39,6 +40,21 @@ func diffCounters(a, b map[string]int64) string {
 	return strings.Join(out, "; ")
 }
 
+// raiseProcs lifts GOMAXPROCS to n for the rest of the test (restored
+// on cleanup) and asserts that EffectiveRefineWorkers(n) now returns n,
+// so the identity contract runs n shard workers even on a host with
+// fewer CPUs. GOMAXPROCS is a setting of the test process only.
+func raiseProcs(t *testing.T, n int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	if got := partition.EffectiveRefineWorkers(n); got != n {
+		t.Fatalf("EffectiveRefineWorkers(%d) = %d, want %d", n, got, n)
+	}
+}
+
 // mlRun solves d with a fresh obs sink at the given worker count and
 // returns the result fingerprint plus the counter snapshot.
 func mlRun(d *design.Design, o Options, workers int) (string, map[string]int64, error) {
@@ -59,6 +75,7 @@ func mlRun(d *design.Design, o Options, workers int) (string, map[string]int64, 
 // same obs counters, because the shard decomposition is fixed and only
 // shard execution is distributed over workers.
 func TestMultilevelParallelIdentityCorpus(t *testing.T) {
+	raiseProcs(t, 8)
 	for _, d := range corpusDesigns(t) {
 		popts := partition.Options{Budget: partition.Modular(d).TotalResources()}
 		base, baseC, berr := mlRun(d, forced(popts), 1)
@@ -97,6 +114,7 @@ func TestMultilevelParallelIdentityHuge(t *testing.T) {
 		d = synthetic.GenerateHuge(1, 1)[0] // 1000-mode tier
 	}
 	o := Options{Partition: partition.Options{Budget: partition.Modular(d).TotalResources()}, Seed: 1}
+	raiseProcs(t, 4)
 	base, baseC, err := mlRun(d, o, 1)
 	if err != nil {
 		dumpArtifact(t, d)

@@ -142,3 +142,23 @@ func TestDeterminismObsCountersMonotonic(t *testing.T) {
 		t.Fatal("no moves recorded")
 	}
 }
+
+// TestSolveWorkersCappedAtCandidateSets asks for more workers than the
+// design has candidate sets: the search starts one worker per set and
+// no idle ones, so the partition.workers gauge (workers started) equals
+// the candidate set count.
+func TestSolveWorkersCappedAtCandidateSets(t *testing.T) {
+	d := design.PaperExample()
+	o := obs.New()
+	if _, err := partition.Solve(d, partition.Options{Budget: partition.Modular(d).TotalResources(), Workers: 64, Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	snap := o.Snapshot()
+	sets := snap.Counters["partition.candidate_sets"]
+	if sets < 2 || sets >= 64 {
+		t.Fatalf("candidate_sets = %d, want a count in [2, 64) to exercise the cap", sets)
+	}
+	if got := snap.Gauges["partition.workers"]; got != sets {
+		t.Errorf("partition.workers = %d at Workers: 64, want %d (one per candidate set)", got, sets)
+	}
+}

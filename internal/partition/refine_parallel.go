@@ -250,11 +250,13 @@ func (p *parScan) scan(cur *state, allowStatic, allowTransfers bool) (move, bool
 	} else {
 		if p.jobs == nil {
 			// Sized to the sends of one iteration, so dispatch never
-			// blocks on a busy worker.
-			p.jobs = make(chan int, scanShards)
+			// blocks on a busy worker. Workers range over the local:
+			// close may clear p.jobs before a worker first runs.
+			jobs := make(chan int, scanShards)
+			p.jobs = jobs
 			for w := 0; w < p.workers; w++ {
 				go func() {
-					for si := range p.jobs {
+					for si := range jobs {
 						p.cands[si] = p.pass(si)
 						p.wg.Done()
 					}

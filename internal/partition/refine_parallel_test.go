@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -62,8 +63,8 @@ func refineFingerprint(out *RefineOutcome) string {
 }
 
 // refineDiffCounters reports counters that differ between two obs
-// snapshots (gauges and timers are excluded: worker gauges and wall
-// clocks legitimately vary with the worker setting, counters must not).
+// snapshots (gauges and duration histograms are excluded: worker gauges
+// and wall clocks legitimately vary with the worker setting, counters must not).
 func refineDiffCounters(a, b map[string]int64) string {
 	names := map[string]bool{}
 	for k := range a {
@@ -114,6 +115,16 @@ func warmStartArea(d *design.Design, ws WarmStart) resource.Vector {
 // must resolve exactly as the single inline pass does; the tightened
 // small designs keep that phase long.
 func TestRefineWorkersDeterminism(t *testing.T) {
+	// Run 8 shard workers even on a host with fewer CPUs:
+	// EffectiveRefineWorkers caps at GOMAXPROCS, a setting of this test
+	// process only, restored on cleanup.
+	if prev := runtime.GOMAXPROCS(0); prev < 8 {
+		runtime.GOMAXPROCS(8)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	if got := EffectiveRefineWorkers(8); got != 8 {
+		t.Fatalf("EffectiveRefineWorkers(8) = %d, want 8", got)
+	}
 	rng := rand.New(rand.NewSource(7))
 	small := []*design.Design{design.PaperExample(), design.VideoReceiver()}
 	small = append(small, synthetic.Generate(5, 6)...)

@@ -208,6 +208,8 @@ func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, er
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// A worker without a candidate set would only allocate its scratch.
+	workers = min(workers, len(sets))
 	stopSearch := opts.Obs.Histogram("partition.phase.search").Time()
 	busy := opts.Obs.Histogram("partition.worker_busy")
 	// runSet searches one candidate set with a reusable per-worker
@@ -216,7 +218,7 @@ func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, er
 	runSet := func(i int, sc *scratch) {
 		snaps[i], counts[i] = newSearcher(d, m, sets[i], opts, sc).run()
 	}
-	if workers <= 1 || len(sets) <= 1 {
+	if workers <= 1 {
 		opts.Obs.Gauge("partition.workers").Observe(1)
 		stopBusy := busy.Time()
 		sc := newScratch()

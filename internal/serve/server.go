@@ -562,7 +562,7 @@ func (s *Server) runLeader(ctx context.Context, fkey string, call *flightCall, q
 // success through every result tier: the cache, the store and the
 // key's other ring owners.
 func (s *Server) solveAndStore(ctx context.Context, q *solveReq) ([]byte, int, error) {
-	body, status, err := s.solveGuarded(ctx, q.key, q.sp, q.check)
+	body, status, err := s.solveGuarded(ctx, q)
 	if err != nil {
 		if errors.Is(context.Cause(ctx), jobs.ErrShed) {
 			s.cBulkShed.Inc()
@@ -590,15 +590,15 @@ func (s *Server) respond(w http.ResponseWriter, cache string, body []byte) {
 // solveGuarded is solve behind a panic barrier: a panicking solver (or
 // renderer) downs one request with a 500, never the daemon — and never
 // a scheduler worker.
-func (s *Server) solveGuarded(ctx context.Context, key string, sp *SolveSpec, docheck bool) (body []byte, status int, err error) {
+func (s *Server) solveGuarded(ctx context.Context, q *solveReq) (body []byte, status int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.cPanics.Inc()
-			s.obs.Emit("serve", "solve.panic", obs.Str("key", key), obs.Str("panic", fmt.Sprint(r)))
+			s.obs.Emit("serve", "solve.panic", obs.Str("key", q.key), obs.Str("panic", fmt.Sprint(r)))
 			body, status, err = nil, http.StatusInternalServerError, fmt.Errorf("serve: solver panicked: %v", r)
 		}
 	}()
-	return s.solve(ctx, key, sp, docheck)
+	return s.solve(ctx, q)
 }
 
 // persist writes a solved body through to the store tier. Failures
@@ -621,7 +621,8 @@ func (s *Server) persist(key string, body []byte, checked bool) {
 // result bytes. It executes on a scheduler worker, which is the
 // concurrency bound; only real solver wall time feeds the smoothed
 // admission estimate.
-func (s *Server) solve(ctx context.Context, key string, sp *SolveSpec, docheck bool) ([]byte, int, error) {
+func (s *Server) solve(ctx context.Context, q *solveReq) ([]byte, int, error) {
+	key, sp := q.key, q.sp
 	if err := ctx.Err(); err != nil {
 		return nil, errStatus(err), fmt.Errorf("serve: cancelled before solving: %w", err)
 	}
@@ -641,7 +642,7 @@ func (s *Server) solve(ctx context.Context, key string, sp *SolveSpec, docheck b
 		s.obs.Emit("serve", "solve.error", obs.Str("key", key), obs.Str("err", err.Error()))
 		return nil, errStatus(err), err
 	}
-	if docheck {
+	if q.check {
 		if verr := verifyResult(res); verr != nil {
 			s.obs.Emit("serve", "solve.check_failed", obs.Str("key", key), obs.Str("err", verr.Error()))
 			return nil, http.StatusInternalServerError, verr
