@@ -47,7 +47,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 }
 
-func TestCountersGaugesHistograms(t *testing.T) {
+func TestCountersGaugesTimers(t *testing.T) {
 	o := New()
 	c := o.Counter("hits")
 	c.Inc()
